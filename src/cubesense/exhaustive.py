@@ -14,6 +14,7 @@ each shard to its start.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -242,12 +243,15 @@ def _scan_mask_list(args: Tuple[int, int, List[int], int]) -> _ShardResult:
 
 
 def _run_shards(jobs: list, worker, shards: int) -> _ShardResult:
+    """Merge the shard results in job order. Shards only partition the
+    work: the pool never starts more processes than there are CPUs."""
     total = _ShardResult()
     if shards > 1 and len(jobs) > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=shards) as pool:
+            workers = min(shards, os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for result in pool.map(worker, jobs):
                     total.merge(result)
             return total

@@ -287,12 +287,6 @@ class QuadraticScalar:
         return format_exact(self)
 
 
-def as_quadratic(value: ScalarLike) -> QuadraticScalar:
-    if isinstance(value, QuadraticScalar):
-        return value
-    return QuadraticScalar(Fraction(value))
-
-
 def exact_sign(value: ScalarLike) -> int:
     if isinstance(value, QuadraticScalar):
         return value.sign()

@@ -8,8 +8,17 @@ H to cover ``sqrt(lambda(v))``; with uniform weights ``a, b`` this reads
 ``sqrt(n) <= C * indeg + (1/C) * outdeg`` for ``C = sqrt(a/b)``.
 
 The eigenvector is a kernel vector of ``A - s I`` restricted to the
-coordinate subspace of H: exact Gaussian elimination over Q(sqrt(d)) by
-default, numpy SVD with a tolerance for large n.
+coordinate subspace of H, ``s = sqrt(lambda(v))``. Exact mode never
+eliminates over Q(sqrt(d)): Q_n is bipartite by parity, so with
+``D = diag(1 on even-weight vertices, s on odd)`` the conjugate
+``D^-1 (M/s - I) D`` is rational (odd columns keep ``M``, even columns are
+``M / lambda(v)``, the diagonal is ``-1``). Gaussian elimination over Q finds
+its kernel vector ``y``, and ``x = D y`` is lifted into Q(sqrt(d)) only
+afterwards. The diagonal scalings keep the pivot pattern, so the first free
+column and the normalized vector are those of the direct elimination, and
+the eigen-residual is still checked over Q(sqrt(d)) on every call. Float
+mode takes numpy's SVD of ``(M - s I)`` restricted to H, with a tolerance,
+for large n.
 """
 
 from __future__ import annotations
@@ -49,7 +58,13 @@ def resolve_mode(n: int, mode: Optional[ScalarMode]) -> ScalarMode:
 @dataclass(frozen=True)
 class WitnessReport:
     """The extracted vertex, its eigenvector coordinate, and the certified
-    inequality `bound_rhs >= bound_lhs` at that vertex."""
+    inequality `bound_rhs >= bound_lhs` at that vertex.
+
+    ``marginal`` is a float-noise flag: float mode sets it when the two
+    sides differ by no more than the tolerance, so the comparison could go
+    either way. Exact mode decides the comparison exactly and always
+    reports False, equality cases included.
+    """
 
     n: int
     mode: ScalarMode
@@ -102,6 +117,25 @@ def _restricted_rows(
             rows.setdefault(beta, {})[j] = val
         diag = rows.setdefault(gamma, {})
         diag[j] = diag.get(j, 0) - s
+    return [rows[beta] for beta in sorted(rows)]
+
+
+def _rational_rows(
+    M: SignedCubeMatrix, lam: Fraction, columns: Sequence[int]
+) -> List[Dict[int, Fraction]]:
+    """Rows of ``D^-1 (M/s - I) D`` restricted to the given columns, where
+    ``s^2 = lam`` and ``D = diag(1 on even vertices, s on odd)``: an odd
+    column keeps ``M``, an even column is ``M / lam``, the diagonal is -1.
+    Rows come in the order of ``_restricted_rows``, which this system is a
+    row and column scaling of."""
+    inv_lam = 1 / lam
+    rows: Dict[int, Dict[int, Fraction]] = {}
+    for j, gamma in enumerate(columns):
+        odd = gamma.bit_count() & 1
+        for beta, val in M.column(gamma):
+            rows.setdefault(beta, {})[j] = val if odd else val * inv_lam
+        diag = rows.setdefault(gamma, {})
+        diag[j] = diag.get(j, 0) - 1
     return [rows[beta] for beta in sorted(rows)]
 
 
@@ -158,7 +192,7 @@ def _float_kernel_vector(
     for i, row in enumerate(rows):
         for j, val in row.items():
             a[i, j] = val
-    _, singular, vt = np.linalg.svd(a)
+    _, singular, vt = np.linalg.svd(a, full_matrices=False)
     if singular[-1] > tol * max(singular[0], 1.0):
         raise NumericalRankError(
             f"smallest singular value {singular[-1]:.3e} is not negligible "
@@ -197,14 +231,18 @@ def positive_eigenvector_in_span(
     columns = list(H.vertices())
     M = build_matrix(w, mode)
     s = w.eigenvalue(mode)
-    rows = _restricted_rows(M, s, columns)
     if mode.is_exact:
-        kernel = _first_kernel_vector(rows, len(columns))
-        if kernel is None:
+        y = _first_kernel_vector(_rational_rows(M, w.pairing, columns), len(columns))
+        if y is None:
             raise InvariantViolation(
                 "no kernel vector in span(H) although |H| > 2^(n-1)"
             )
+        kernel = [
+            s * val if gamma.bit_count() & 1 and val else val
+            for gamma, val in zip(columns, y)
+        ]
     else:
+        rows = _restricted_rows(M, s, columns)
         kernel = _float_kernel_vector(rows, len(columns), mode.tol)
     kernel = _normalize_max_coordinate(kernel)
     omega = Multivector(H.n, dict(zip(columns, kernel)))

@@ -14,7 +14,18 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from cubesense import Multivector, SignedCubeMatrix, WeightConfig
+from cubesense import (
+    InducedSubgraph,
+    Multivector,
+    SignedCubeMatrix,
+    WeightConfig,
+    build_matrix,
+)
+from cubesense.witness import (
+    _first_kernel_vector,
+    _normalize_max_coordinate,
+    _restricted_rows,
+)
 
 
 # -- exact arithmetic oracles -------------------------------------------------
@@ -119,6 +130,17 @@ def charpoly(matrix: Sequence[Sequence]) -> List[Fraction]:
         return total
 
     return det(list(range(size)), list(range(size)))
+
+
+def oracle_quadratic_eigenvector(w: WeightConfig, H: InducedSubgraph) -> Multivector:
+    """The exact eigenvector by direct elimination of ``(M - s I)``
+    restricted to H over Q(sqrt(d)), ``s = sqrt(lambda(v))``: the first free
+    column's kernel vector, normalized like the pipeline's."""
+    columns = list(H.vertices())
+    rows = _restricted_rows(build_matrix(w), w.eigenvalue(), columns)
+    kernel = _first_kernel_vector(rows, len(columns))
+    assert kernel is not None, "large H always meets the positive eigenspace"
+    return Multivector(H.n, dict(zip(columns, _normalize_max_coordinate(kernel))))
 
 
 # -- random generators ---------------------------------------------------------

@@ -108,6 +108,42 @@ def test_shard_variations_produce_identical_reports():
         assert sharded == base
 
 
+def test_pool_workers_capped_at_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and runs jobs inline."""
+
+        def __init__(self, max_workers=None):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    base = enumerate_and_verify(EnumerationPlan(n=4)).to_json_dict()
+    sample = RandomSample(count=100, seed=9)
+    sample_base = enumerate_and_verify(EnumerationPlan(n=4, strategy=sample)).to_json_dict()
+    assert requested == []  # one shard never builds a pool
+    for cpus in (2, None, 64):
+        monkeypatch.setattr("os.cpu_count", lambda cpus=cpus: cpus)
+        for shards in (5, 1000):
+            requested.clear()
+            plan = EnumerationPlan(n=4, parallel_shards=shards)
+            assert enumerate_and_verify(plan).to_json_dict() == base
+            plan = EnumerationPlan(n=4, strategy=sample, parallel_shards=shards)
+            assert enumerate_and_verify(plan).to_json_dict() == sample_base
+            assert requested == [min(shards, cpus or 1)] * 2
+
+
 def test_monotone_in_subset_size():
     previous = 0
     for size in (5, 6, 7, 8):

@@ -9,11 +9,14 @@ Core claims:
     - every kernel vector certifies, not just the canonical one
     - weighted scans at C and 1/C relate through coordinate complement
     - float mode reproduces exact answers within tolerance
+    - the equality cases at n=4 certify in both modes; only float mode
+      flags them as marginal
 """
 
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -34,7 +37,7 @@ from cubesense import (
 from cubesense.exhaustive import sample_mask
 from cubesense.witness import NumericalRankError, _float_kernel_vector
 
-from helpers import dense_matvec, to_dense
+from helpers import dense_matvec, oracle_max_degree, to_dense
 
 
 def assert_is_eigenvector(w, omega, H):
@@ -283,3 +286,22 @@ def test_default_mode_switches_at_twelve():
     assert resolve_mode(12, None).is_exact
     assert not resolve_mode(13, None).is_exact
     assert resolve_mode(13, ScalarMode.exact()).is_exact
+
+
+def test_equality_cases_at_n4():
+    # the 9-subsets of Q_4 with max degree 2 = sqrt(4): at C = 1 the bound
+    # holds with equality, which exact mode certifies outright and float
+    # mode flags as marginal, because the float comparison is within noise
+    subsets = [s for s in combinations(range(16), 9) if oracle_max_degree(4, s) == 2]
+    assert len(subsets) == 48
+    for subset in subsets:
+        H = InducedSubgraph.from_vertices(4, subset)
+        for ratio in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            w = WeightConfig.from_ratio(4, ratio)
+            exact = run_pipeline(w, H, ScalarMode.exact())
+            floaty = run_pipeline(w, H, ScalarMode.floating())
+            assert exact.certified and floaty.certified
+            assert exact.profile.degree == 2
+            assert not exact.marginal
+            assert (exact.bound_rhs == exact.bound_lhs) == (ratio == 1)
+            assert floaty.marginal == (ratio == 1)
