@@ -58,6 +58,7 @@ from .scalars import (
     sqrt_decompose,
 )
 from .witness import (
+    DenseSolveTooLargeError,
     InvariantViolation,
     NumericalRankError,
     SubgraphTooSmallError,
@@ -110,6 +111,7 @@ __all__ = [
     "format_exact",
     "parse_rational",
     "sqrt_decompose",
+    "DenseSolveTooLargeError",
     "InvariantViolation",
     "NumericalRankError",
     "SubgraphTooSmallError",

@@ -238,9 +238,14 @@ class WeightConfig:
         return tuple(mode.convert(b) for b in self.v)
 
 
-def apply_A(w: WeightConfig, omega: Multivector) -> Multivector:
+def apply_A(
+    w: WeightConfig, omega: Multivector, mode: ScalarMode | None = None
+) -> Multivector:
     """Apply ``A = i_v + lambda^`` coordinate-wise; the output support lies in
-    the cube neighborhood of the input support."""
+    the cube neighborhood of the input support. Given a ``mode``, the
+    weights are converted into it once up front (in float mode each product
+    is then the one ``Fraction * float`` would give, computed natively)."""
     if w.n != omega.n:
         raise ValueError(f"dimension mismatch: {w.n} vs {omega.n}")
-    return interior_product(w.v, omega) + wedge_lambda(w.lam, omega)
+    v, lam = (w.v, w.lam) if mode is None else (w.v_in(mode), w.lam_in(mode))
+    return interior_product(v, omega) + wedge_lambda(lam, omega)

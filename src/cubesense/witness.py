@@ -16,9 +16,20 @@ eliminates over Q(sqrt(d)): Q_n is bipartite by parity, so with
 its kernel vector ``y``, and ``x = D y`` is lifted into Q(sqrt(d)) only
 afterwards. The diagonal scalings keep the pivot pattern, so the first free
 column and the normalized vector are those of the direct elimination, and
-the eigen-residual is still checked over Q(sqrt(d)) on every call. Float
-mode takes numpy's SVD of ``(M - s I)`` restricted to H, with a tolerance,
-for large n.
+the eigen-residual is still checked over Q(sqrt(d)) on every call.
+
+Float mode, for large n, solves a smaller system. Split H into its even
+vertices E and odd vertices O, and let E' be the even vertices outside H.
+Since M only joins opposite parities, the restricted kernel is exactly
+``{x : x_O in ker M[E', O], x_E = M[E, O] x_O / s}``: the rows of E' say
+``(M x)_{E'} = 0``, the rows of E define ``x_E``, and the odd rows then
+hold by ``M^2 = lambda(v) I``. ``M[E', O]`` has
+``|O| - |E'| = |H| - 2^(n-1) >= 1`` more columns than rows, so a kernel
+vector always exists; numpy's SVD of this |E'| x |O| matrix finds one, in
+place of an SVD of the whole |N[H]| x |H| system. The eigen-residual of
+the lifted vector is checked within tolerance on every call, and the dense
+solve is refused before it allocates when it would exceed
+``FLOAT_SOLVE_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -34,11 +45,17 @@ from .matrices import SignedCubeMatrix, build_matrix
 from .scalars import QuadraticScalar, ScalarMode, exact_sign
 
 EXACT_DEFAULT_LIMIT = 12  # exact elimination is the default up to this n
+FLOAT_SOLVE_MAX_BYTES = 1 << 29  # M[E', O] plus V of its SVD, float64, at most 512 MiB
 
 
 class SubgraphTooSmallError(ValueError):
     """H has at most half the vertices: no eigenspace intersection is
     guaranteed, so the pipeline refuses to run."""
+
+
+class DenseSolveTooLargeError(ValueError):
+    """The float-mode dense solve would exceed ``FLOAT_SOLVE_MAX_BYTES``;
+    it is refused before anything is allocated."""
 
 
 class NumericalRankError(RuntimeError):
@@ -108,7 +125,8 @@ def _restricted_rows(
 ) -> List[Dict[int, Scalar]]:
     """Rows of (A - s I) restricted to the given columns, keyed by column
     index; rows outside the closed neighborhood of H are identically zero
-    and are dropped."""
+    and are dropped. The pipeline solves smaller systems; tests and the
+    benchmark's reference recorder use this whole one as their oracle."""
     col_index = {gamma: j for j, gamma in enumerate(columns)}
     rows: Dict[int, Dict[int, Scalar]] = {}
     for gamma in columns:
@@ -186,19 +204,76 @@ def _first_kernel_vector(
 def _float_kernel_vector(
     rows: List[Dict[int, float]], num_cols: int, tol: float
 ) -> List[float]:
+    """A unit kernel vector of the dense matrix with these sparse rows.
+
+    The float path passes ``M[E', O]``, which has more columns than rows:
+    the last row of the full ``V^T`` of its SVD then lies in the kernel, and
+    with no rows at all any vector does, so the first unit vector is
+    returned. A system with at least as many rows as columns has a kernel
+    only if its smallest singular value is negligible; otherwise this
+    raises ``NumericalRankError``.
+    """
+    if not rows:
+        return [1.0] + [0.0] * (num_cols - 1)
     import numpy as np
 
     a = np.zeros((len(rows), num_cols))
     for i, row in enumerate(rows):
         for j, val in row.items():
             a[i, j] = val
-    _, singular, vt = np.linalg.svd(a, full_matrices=False)
-    if singular[-1] > tol * max(singular[0], 1.0):
+    # full V: a wide matrix's kernel is spanned by the rows of V^T past its rank
+    _, singular, vt = np.linalg.svd(a)
+    if len(singular) == num_cols and singular[-1] > tol * max(singular[0], 1.0):
         raise NumericalRankError(
             f"smallest singular value {singular[-1]:.3e} is not negligible "
             f"against {singular[0]:.3e}; rerun in exact mode"
         )
     return [float(x) for x in vt[-1]]
+
+
+def _even_vertices(n: int) -> int:
+    """Bitset of the even-weight vertices of Q_n (the Thue-Morse pattern)."""
+    mask = 1
+    for b in range(n):
+        width = 1 << b
+        mask |= (~mask & ((1 << width) - 1)) << width
+    return mask
+
+
+def _check_float_solve_size(H: InducedSubgraph) -> None:
+    """Refuse, before allocating, a dense ``M[E', O]`` whose matrix plus
+    SVD factor ``V`` would exceed ``FLOAT_SOLVE_MAX_BYTES``. U, which is
+    smaller than V, and LAPACK's workspace come on top."""
+    even = _even_vertices(H.n)
+    num_rows = (even & ~H.members).bit_count()
+    num_cols = (H.members & ~even).bit_count()
+    needed = 8 * (num_rows * num_cols + num_cols * num_cols)
+    if needed > FLOAT_SOLVE_MAX_BYTES:
+        raise DenseSolveTooLargeError(
+            f"float solve needs a dense {num_rows} x {num_cols} matrix and its "
+            f"{num_cols} x {num_cols} SVD factor, {needed / 2**20:.0f} MiB, over "
+            f"the {FLOAT_SOLVE_MAX_BYTES / 2**20:.0f} MiB bound"
+        )
+
+
+def _float_parity_kernel(
+    M: SignedCubeMatrix, s: float, H: InducedSubgraph, tol: float
+) -> Dict[int, float]:
+    """A kernel vector of ``(M - s I)`` restricted to H, by vertex: ``x_O``
+    from ``ker M[E', O]`` and ``x_E = M[E, O] x_O / s``. Vertices of H
+    absent from the result have coordinate 0."""
+    odd = [gamma for gamma in H.vertices() if gamma.bit_count() & 1]
+    members = H.members
+    inside: Dict[int, Dict[int, float]] = {}  # rows of E
+    outside: Dict[int, Dict[int, float]] = {}  # rows of E'; zero rows never appear
+    for j, gamma in enumerate(odd):
+        for beta, val in M.column(gamma):
+            (inside if members >> beta & 1 else outside).setdefault(beta, {})[j] = val
+    x_odd = _float_kernel_vector([outside[b] for b in sorted(outside)], len(odd), tol)
+    coords = dict(zip(odd, x_odd))
+    for beta, row in inside.items():
+        coords[beta] = sum(val * x_odd[j] for j, val in row.items()) / s
+    return coords
 
 
 def _normalize_max_coordinate(values: List[Scalar]) -> List[Scalar]:
@@ -228,6 +303,8 @@ def positive_eigenvector_in_span(
         raise ValueError(f"dimension mismatch: weights n={w.n}, subgraph n={H.n}")
     _require_large(H)
     mode = resolve_mode(H.n, mode)
+    if not mode.is_exact:
+        _check_float_solve_size(H)
     columns = list(H.vertices())
     M = build_matrix(w, mode)
     s = w.eigenvalue(mode)
@@ -242,8 +319,8 @@ def positive_eigenvector_in_span(
             for gamma, val in zip(columns, y)
         ]
     else:
-        rows = _restricted_rows(M, s, columns)
-        kernel = _float_kernel_vector(rows, len(columns), mode.tol)
+        coords = _float_parity_kernel(M, s, H, mode.tol)
+        kernel = [coords.get(gamma, 0.0) for gamma in columns]
     kernel = _normalize_max_coordinate(kernel)
     omega = Multivector(H.n, dict(zip(columns, kernel)))
     _verify_eigenvector(w, H, omega, s, mode)
@@ -259,7 +336,7 @@ def _verify_eigenvector(
 ) -> None:
     if any(beta not in H for beta in omega.support()):
         raise InvariantViolation("eigenvector support escapes H")
-    residual = apply_A(w, omega) - omega.scaled(s)
+    residual = apply_A(w, omega, mode) - omega.scaled(s)
     if mode.is_exact:
         if not residual.is_zero:
             raise InvariantViolation("exact eigenvector residual is nonzero")

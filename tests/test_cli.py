@@ -11,6 +11,7 @@ Core claims:
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -129,6 +130,17 @@ def test_witness_float_mode():
     assert payload["mode"] == "float"
     assert payload["certified"] is True
     assert payload["omega_beta"] == "1"
+
+
+def test_witness_float_solve_refused_before_it_allocates():
+    # n = 16 would need a ~4 GiB dense solve; the popcount check refuses it
+    start = time.perf_counter()
+    proc = run_cli(
+        "witness", "--n", "16", "--subgraph", "random:32769:0", "--mode", "float", expect=1
+    )
+    assert "MiB bound" in proc.stderr
+    assert proc.stdout == ""
+    assert time.perf_counter() - start < 30
 
 
 def test_witness_small_subgraph_exit_code():
