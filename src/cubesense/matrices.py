@@ -134,6 +134,7 @@ def verify_square_identity(
     """Check ``M^2 = lambda(v) I`` column by column through sparse composition."""
     mode = mode or ScalarMode.exact()
     expected = mode.convert(w.pairing)
+    scale = float(expected)
     worst = 0.0
     ok = True
     for gamma in range(M.size):
@@ -144,10 +145,7 @@ def verify_square_identity(
         acc[gamma] = acc.get(gamma, 0) - expected
         for dev in acc.values():
             worst = max(worst, abs(float(dev)))
-            if mode.is_exact:
-                ok = ok and dev == 0
-            elif not mode.within(dev, float(expected)):
-                ok = False
+            ok = ok and mode.within(dev, scale)
     return SquareIdentityReport(expected=expected, max_deviation=worst, ok=ok)
 
 
@@ -171,7 +169,7 @@ class EigenSplit:
         self.mode = mode or ScalarMode.exact()
         self.s = w.eigenvalue(self.mode)
         self._half = self.mode.convert(Fraction(1, 2))
-        self._s_inv = (1 / self.s) if not self.mode.is_exact else self.s.inverse()
+        self._s_inv = 1 / self.s
 
     def project(self, vec: Sequence[Scalar], sign: int) -> list:
         image = self.matrix.apply(vec)
@@ -240,10 +238,7 @@ def spectral_report(
                 # A P_+- = +-s P_+- alongside idempotency
                 for dev in (a - b, c - d if sign > 0 else c + d):
                     worst = max(worst, abs(float(dev)))
-                    if mode.is_exact:
-                        ok = ok and dev == 0
-                    elif not mode.within(dev, scale):
-                        ok = False
+                    ok = ok and mode.within(dev, scale)
     return SpectralReport(
         n=M.n,
         eigenvalue=split.s,

@@ -7,29 +7,32 @@ the eigenvalue relation forces weighted in/out degrees of ``beta`` inside
 H to cover ``sqrt(lambda(v))``; with uniform weights ``a, b`` this reads
 ``sqrt(n) <= C * indeg + (1/C) * outdeg`` for ``C = sqrt(a/b)``.
 
-The eigenvector is a kernel vector of ``A - s I`` restricted to the
-coordinate subspace of H, ``s = sqrt(lambda(v))``. Exact mode never
-eliminates over Q(sqrt(d)): Q_n is bipartite by parity, so with
-``D = diag(1 on even-weight vertices, s on odd)`` the conjugate
-``D^-1 (M/s - I) D`` is rational (odd columns keep ``M``, even columns are
-``M / lambda(v)``, the diagonal is ``-1``). Gaussian elimination over Q finds
-its kernel vector ``y``, and ``x = D y`` is lifted into Q(sqrt(d)) only
-afterwards. The diagonal scalings keep the pivot pattern, so the first free
-column and the normalized vector are those of the direct elimination, and
-the eigen-residual is still checked over Q(sqrt(d)) on every call.
-
-Float mode, for large n, solves a smaller system. Split H into its even
-vertices E and odd vertices O, and let E' be the even vertices outside H.
-Since M only joins opposite parities, the restricted kernel is exactly
-``{x : x_O in ker M[E', O], x_E = M[E, O] x_O / s}``: the rows of E' say
-``(M x)_{E'} = 0``, the rows of E define ``x_E``, and the odd rows then
-hold by ``M^2 = lambda(v) I``. ``M[E', O]`` has
+The eigenvector is a kernel vector of ``M - s I`` restricted to the
+coordinate subspace of H, ``s = sqrt(lambda(v))``. M only joins vertices of
+opposite parity, so split H into its even vertices E and odd vertices O,
+and let E' be the even vertices outside H. The even rows of the system read
+``M[E', O] x_O = 0`` and ``M[E, O] x_O = s x_E``; given those, the odd rows
+hold by ``M^2 = lambda(v) I``. The restricted kernel is therefore exactly
+``{x : x_O in ker M[E', O], x_E = M[E, O] x_O / s}``, and ``M[E', O]`` has
 ``|O| - |E'| = |H| - 2^(n-1) >= 1`` more columns than rows, so a kernel
-vector always exists; numpy's SVD of this |E'| x |O| matrix finds one, in
-place of an SVD of the whole |N[H]| x |H| system. The eigen-residual of
-the lifted vector is checked within tolerance on every call, and the dense
-solve is refused before it allocates when it would exceed
-``FLOAT_SOLVE_MAX_BYTES``.
+vector always exists. Both modes solve only these even rows, built by
+``_even_rows``.
+
+Exact mode substitutes ``x_O = s y_O`` and ``x_E = y_E``. The even rows
+become ``[M[E' u E, O] | -I_E]`` over H's columns in vertex order, with the
+weights themselves as entries, so Gaussian elimination over Q finds the
+first free column's kernel vector ``y``, and only the lift ``x = (y_E, s y_O)``
+enters Q(sqrt(d)). Up to scale that vector is the unique kernel vector whose
+last nonzero column comes earliest. Dropping implied rows keeps the kernel
+and the column scaling moves no zero, so the lift is the vector a direct
+elimination of the whole system over Q(sqrt(d)) finds. The eigen-residual
+is still checked over Q(sqrt(d)) on every call.
+
+Float mode takes ``x_O`` from numpy's SVD of the dense |E'| x |O| matrix
+``M[E', O]``, in place of an SVD of the whole |N[H]| x |H| system, and
+lifts ``x_E = M[E, O] x_O / s``. The eigen-residual of the lifted vector is
+checked within tolerance on every call, and the dense solve is refused
+before it allocates when it would exceed ``FLOAT_SOLVE_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -138,23 +141,20 @@ def _restricted_rows(
     return [rows[beta] for beta in sorted(rows)]
 
 
-def _rational_rows(
-    M: SignedCubeMatrix, lam: Fraction, columns: Sequence[int]
-) -> List[Dict[int, Fraction]]:
-    """Rows of ``D^-1 (M/s - I) D`` restricted to the given columns, where
-    ``s^2 = lam`` and ``D = diag(1 on even vertices, s on odd)``: an odd
-    column keeps ``M``, an even column is ``M / lam``, the diagonal is -1.
-    Rows come in the order of ``_restricted_rows``, which this system is a
-    row and column scaling of."""
-    inv_lam = 1 / lam
-    rows: Dict[int, Dict[int, Fraction]] = {}
+def _even_rows(
+    M: SignedCubeMatrix, H: InducedSubgraph, columns: Sequence[int]
+) -> Tuple[Dict[int, Dict[int, Scalar]], Dict[int, Dict[int, Scalar]]]:
+    """Rows ``M[beta, O]`` for the even ``beta`` inside H (E) and outside it
+    (E'), keyed by the odd columns' positions in ``columns``. An even vertex
+    with no odd neighbour among the columns gets no row."""
+    members = H.members
+    inside: Dict[int, Dict[int, Scalar]] = {}
+    outside: Dict[int, Dict[int, Scalar]] = {}
     for j, gamma in enumerate(columns):
-        odd = gamma.bit_count() & 1
-        for beta, val in M.column(gamma):
-            rows.setdefault(beta, {})[j] = val if odd else val * inv_lam
-        diag = rows.setdefault(gamma, {})
-        diag[j] = diag.get(j, 0) - 1
-    return [rows[beta] for beta in sorted(rows)]
+        if gamma.bit_count() & 1:
+            for beta, val in M.column(gamma):
+                (inside if members >> beta & 1 else outside).setdefault(beta, {})[j] = val
+    return inside, outside
 
 
 def _first_kernel_vector(
@@ -243,11 +243,12 @@ def _even_vertices(n: int) -> int:
 def _check_float_solve_size(H: InducedSubgraph) -> None:
     """Refuse, before allocating, a dense ``M[E', O]`` whose matrix plus
     SVD factor ``V`` would exceed ``FLOAT_SOLVE_MAX_BYTES``. U, which is
-    smaller than V, and LAPACK's workspace come on top."""
+    smaller than V, and LAPACK's workspace come on top. With E' empty no
+    SVD runs and nothing dense is allocated."""
     even = _even_vertices(H.n)
     num_rows = (even & ~H.members).bit_count()
     num_cols = (H.members & ~even).bit_count()
-    needed = 8 * (num_rows * num_cols + num_cols * num_cols)
+    needed = 8 * (num_rows * num_cols + num_cols * num_cols) if num_rows else 0
     if needed > FLOAT_SOLVE_MAX_BYTES:
         raise DenseSolveTooLargeError(
             f"float solve needs a dense {num_rows} x {num_cols} matrix and its "
@@ -263,12 +264,7 @@ def _float_parity_kernel(
     from ``ker M[E', O]`` and ``x_E = M[E, O] x_O / s``. Vertices of H
     absent from the result have coordinate 0."""
     odd = [gamma for gamma in H.vertices() if gamma.bit_count() & 1]
-    members = H.members
-    inside: Dict[int, Dict[int, float]] = {}  # rows of E
-    outside: Dict[int, Dict[int, float]] = {}  # rows of E'; zero rows never appear
-    for j, gamma in enumerate(odd):
-        for beta, val in M.column(gamma):
-            (inside if members >> beta & 1 else outside).setdefault(beta, {})[j] = val
+    inside, outside = _even_rows(M, H, odd)
     x_odd = _float_kernel_vector([outside[b] for b in sorted(outside)], len(odd), tol)
     coords = dict(zip(odd, x_odd))
     for beta, row in inside.items():
@@ -309,7 +305,13 @@ def positive_eigenvector_in_span(
     M = build_matrix(w, mode)
     s = w.eigenvalue(mode)
     if mode.is_exact:
-        y = _first_kernel_vector(_rational_rows(M, w.pairing, columns), len(columns))
+        # x_O = s y_O, x_E = y_E: row beta reads M[beta, O] y_O - y_beta = 0
+        inside, outside = _even_rows(M, H, columns)
+        for j, gamma in enumerate(columns):
+            if not gamma.bit_count() & 1:
+                inside.setdefault(gamma, {})[j] = -1
+        rows = {**outside, **inside}
+        y = _first_kernel_vector([rows[b] for b in sorted(rows)], len(columns))
         if y is None:
             raise InvariantViolation(
                 "no kernel vector in span(H) although |H| > 2^(n-1)"
@@ -377,7 +379,7 @@ def extract_witness(
         val = omega.coefficient(vertex)
         if abs(val) > best_abs:
             beta, coord, best_abs = vertex, val, abs(val)
-    if _sign(coord) < 0:
+    if exact_sign(coord) < 0:
         coord = -coord  # flip omega so the witness coordinate is positive
 
     profile = H.degree_profile(beta)
@@ -411,12 +413,6 @@ def extract_witness(
         certified=certified,
         marginal=marginal,
     )
-
-
-def _sign(value: Scalar) -> int:
-    if isinstance(value, float):
-        return (value > 0) - (value < 0)
-    return exact_sign(value)
 
 
 def run_pipeline(

@@ -143,7 +143,37 @@ def oracle_quadratic_eigenvector(w: WeightConfig, H: InducedSubgraph) -> Multive
     return Multivector(H.n, dict(zip(columns, _normalize_max_coordinate(kernel))))
 
 
+def oracle_rational_rows(
+    M: SignedCubeMatrix, lam: Fraction, columns: Sequence[int]
+) -> List[Dict[int, Fraction]]:
+    """Rows of ``D^-1 (M/s - I) D`` restricted to the given columns, where
+    ``s^2 = lam`` and ``D = diag(1 on even vertices, s on odd)``: an odd
+    column keeps ``M``, an even column is ``M / lam``, the diagonal is -1.
+    Rows come in the order of ``_restricted_rows``, which this system is a
+    row and column scaling of."""
+    inv_lam = 1 / lam
+    rows: Dict[int, Dict[int, Fraction]] = {}
+    for j, gamma in enumerate(columns):
+        odd = gamma.bit_count() & 1
+        for beta, val in M.column(gamma):
+            rows.setdefault(beta, {})[j] = val if odd else val * inv_lam
+        diag = rows.setdefault(gamma, {})
+        diag[j] = diag.get(j, 0) - 1
+    return [rows[beta] for beta in sorted(rows)]
+
+
 # -- random generators ---------------------------------------------------------
+
+def edge_subgraphs(n: int) -> List[InducedSubgraph]:
+    """The two large subgraphs of size 2^(n-1) + 1 where a parity block of
+    the system degenerates: E' empty and E a single vertex."""
+    even = [g for g in range(1 << n) if g.bit_count() % 2 == 0]
+    odd = [g for g in range(1 << n) if g.bit_count() % 2 == 1]
+    return [
+        InducedSubgraph.from_vertices(n, even + odd[-1:]),  # E' empty
+        InducedSubgraph.from_vertices(n, odd + even[:1]),  # E a single vertex
+    ]
+
 
 def random_rational(rng: random.Random, positive: bool = False) -> Fraction:
     lo = 1 if positive else -9

@@ -143,6 +143,14 @@ def test_witness_float_solve_refused_before_it_allocates():
     assert time.perf_counter() - start < 30
 
 
+def test_witness_float_full_cube_needs_no_dense_solve():
+    # the whole of Q_15 leaves no even vertex outside H, so no SVD runs
+    proc = run_cli("witness", "--n", "15", "--subgraph", "random:32768:0", "--mode", "float")
+    payload = json.loads(proc.stdout)
+    jsonschema.validate(payload, load_schema("witness_report.schema.json"))
+    assert payload["certified"] is True
+
+
 def test_witness_small_subgraph_exit_code():
     proc = run_cli("witness", "--subgraph", "00,01", expect=1)
     assert "more than half" in proc.stderr

@@ -5,8 +5,9 @@ and E' the even vertices outside it.
 Core claims:
     - exactly, over Q(sqrt(d)): the exact witness vector's odd part lies in
       ker M[E', O] and its even part is M[E, O] x_O / s (n <= 5)
-    - the reduced system and the whole one (``_restricted_rows``) have the
-      same nullity, never below |H| - 2^(n-1) (exact ranks, n = 1..7)
+    - the reduced system, the exact-mode even-row system and the whole
+      rational one (``oracle_rational_rows``) have the same nullity, never
+      below |H| - 2^(n-1) (exact ranks, n = 1..7)
     - the float vector the pipeline returns is a kernel vector of the whole
       float system; where that kernel is one-dimensional it is the whole
       system's SVD vector after normalization, and beta is exact mode's
@@ -36,9 +37,9 @@ from cubesense import (
 )
 from cubesense.exhaustive import sample_mask
 from cubesense import witness
-from cubesense.witness import _rational_rows, _restricted_rows
+from cubesense.witness import _even_rows, _restricted_rows
 
-from helpers import random_weights
+from helpers import edge_subgraphs, oracle_rational_rows, random_weights
 
 RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
 FLOAT = ScalarMode.floating()
@@ -113,15 +114,6 @@ def random_large(rng, n):
     return InducedSubgraph(n, sample_mask(rng, 1 << n, size))
 
 
-def edge_subgraphs(n):
-    even = [g for g in range(1 << n) if g.bit_count() % 2 == 0]
-    odd = [g for g in range(1 << n) if g.bit_count() % 2 == 1]
-    return [
-        InducedSubgraph.from_vertices(n, even + odd[-1:]),  # E' empty
-        InducedSubgraph.from_vertices(n, odd + even[:1]),  # E a single vertex
-    ]
-
-
 # -- the reduction over Q(sqrt(d)) ---------------------------------------------
 
 @pytest.mark.parametrize("seed", range(10))
@@ -145,13 +137,26 @@ def test_exact_witness_splits_by_parity(seed):
 
 # -- nullity --------------------------------------------------------------------
 
+def exact_even_rows(M, H):
+    """The exact-mode system: even rows ``M[beta, O] y_O - y_beta = 0`` over
+    all of H's columns, with ``x_O = s y_O`` and ``x_E = y_E``."""
+    columns = list(H.vertices())
+    inside, outside = _even_rows(M, H, columns)
+    for j, gamma in enumerate(columns):
+        if gamma.bit_count() % 2 == 0:
+            inside.setdefault(gamma, {})[j] = -1
+    return list(outside.values()) + list(inside.values())
+
+
 def assert_same_nullity(w, H):
     n = H.n
+    M = build_matrix(w)
     columns = list(H.vertices())
     _, odd, _ = parity_split(H)
-    whole = len(columns) - exact_rank(_rational_rows(build_matrix(w), w.pairing, columns), len(columns))
-    reduced = len(odd) - exact_rank(reduced_rows(build_matrix(w), H), len(odd))
-    assert whole == reduced >= H.cardinality - (1 << (n - 1))
+    whole = len(columns) - exact_rank(oracle_rational_rows(M, w.pairing, columns), len(columns))
+    reduced = len(odd) - exact_rank(reduced_rows(M, H), len(odd))
+    even = len(columns) - exact_rank(exact_even_rows(M, H), len(columns))
+    assert whole == reduced == even >= H.cardinality - (1 << (n - 1))
     return whole
 
 

@@ -7,6 +7,8 @@ Core claims:
       oracle's, coordinate by coordinate and in printed form
     - the same holds when the pairing is a perfect square, so s is rational
       and Q(sqrt(d)) folds to d = 1
+    - both also hold where the even-row system degenerates: the full cube,
+      E' empty, and E a single vertex
 """
 
 import random
@@ -25,7 +27,7 @@ from cubesense import (
 from cubesense.exhaustive import sample_mask
 from cubesense.scalars import format_exact
 
-from helpers import oracle_quadratic_eigenvector, random_weights
+from helpers import edge_subgraphs, oracle_quadratic_eigenvector, random_weights
 
 RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -43,10 +45,11 @@ def test_matches_direct_elimination(seed):
     rng = random.Random(seed)
     n = 1 + seed % 6
     size = rng.randrange((1 << (n - 1)) + 1, (1 << n) + 1)
-    H = InducedSubgraph(n, sample_mask(rng, 1 << n, size))
-    for ratio in RATIOS:
-        assert_matches_oracle(WeightConfig.from_ratio(n, ratio), H)
-    assert_matches_oracle(random_weights(rng, n), H)
+    full = InducedSubgraph(n, (1 << (1 << n)) - 1)
+    for H in [InducedSubgraph(n, sample_mask(rng, 1 << n, size)), full] + edge_subgraphs(n):
+        for ratio in RATIOS:
+            assert_matches_oracle(WeightConfig.from_ratio(n, ratio), H)
+        assert_matches_oracle(random_weights(rng, n), H)
 
 
 def test_matches_direct_elimination_perfect_square_pairing():
