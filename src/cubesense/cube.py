@@ -36,6 +36,45 @@ def adjacent(u: int, v: int) -> bool:
     return (u ^ v).bit_count() == 1
 
 
+def lane_width(n: int) -> int:
+    """Bits per packed subset: one per vertex, padded to whole bytes."""
+    return max(8, 1 << n)
+
+
+def _bit_clear(b: int, bits: int) -> int:
+    """The positions below ``bits`` whose bit ``b`` is clear: a pattern of
+    period 2^(b+1), so it is the same in every lane of a packed block."""
+    half = 1 << b
+    if half < 8:
+        unit = bytes([0xFF // ((1 << 2 * half) - 1) * ((1 << half) - 1)])
+    else:
+        unit = b"\xff" * (half // 8) + bytes(half // 8)
+    return int.from_bytes(unit * (bits // (8 * len(unit))), "little")
+
+
+def degree_sets(members: int, n: int) -> list[int]:
+    """``at_least[k]`` for k = 0..n: the members with at least k neighbours
+    among the members, so the maximum induced degree is the largest k with
+    ``at_least[k]`` nonzero.
+
+    ``members`` may hold many subsets side by side, each in its own lane of
+    ``lane_width(n)`` bits (lane i at bit ``i * lane_width(n)``); every
+    step is a big-int operation on all lanes at once and no bit crosses a
+    lane. For each direction b, ``m & (m >> 2^b)`` on the vertices with bit
+    b clear marks the lower ends of the members' edges in that direction.
+    """
+    width = lane_width(n)
+    bits = width * -(-members.bit_length() // width)
+    at_least = [members] + [0] * n
+    for b in range(n):
+        half = 1 << b
+        lower = members & (members >> half) & _bit_clear(b, bits)
+        hit = lower | (lower << half)
+        for k in range(b + 1, 0, -1):  # descending: at_least[k - 1] is still the old set
+            at_least[k] |= at_least[k - 1] & hit
+    return at_least
+
+
 @dataclass(frozen=True)
 class Step:
     """A directed cube edge: coordinate (1-based) gained (up) or lost."""
@@ -132,15 +171,10 @@ class InducedSubgraph:
         smallest bitmask."""
         if self.members == 0:
             raise ValueError("empty subgraph has no maximum degree")
-        best_vertex, best_degree = -1, -1
-        for u in self.vertices():
-            deg = 0
-            for b in range(self.n):
-                if (u ^ (1 << b)) in self:
-                    deg += 1
-            if deg > best_degree:
-                best_vertex, best_degree = u, deg
-        return best_vertex, best_degree
+        at_least = degree_sets(self.members, self.n)
+        degree = max(k for k, vertices in enumerate(at_least) if vertices)
+        top = at_least[degree]
+        return (top & -top).bit_length() - 1, degree
 
     def complemented(self) -> "InducedSubgraph":
         """Flip every coordinate of every vertex (reverses all edge directions)."""

@@ -55,18 +55,29 @@ def oracle_max_degree(n: int, subset: Iterable[int]) -> int:
 
 def oracle_exhaustive(n: int, size: int) -> Tuple[int, Dict[int, int], int]:
     """(min over subsets of max degree, histogram, violations of ceil(sqrt n))."""
+    scan = oracle_scan(n, oracle_colex(n, size))
+    return scan["min_max_degree"], dict(sorted(scan["histogram"].items())), scan["violations"]
+
+
+def oracle_scan(n: int, masks: Sequence[int]) -> dict:
+    """A scan report's statistics over the masks in scan order: the argmin
+    is the first mask reaching the minimum max degree."""
     bound = math.isqrt(n - 1) + 1
-    histogram: Counter = Counter()
-    min_max = None
-    violations = 0
-    for subset in combinations(range(1 << n), size):
-        md = oracle_max_degree(n, subset)
-        histogram[md] += 1
-        if md < bound:
-            violations += 1
-        if min_max is None or md < min_max:
-            min_max = md
-    return min_max, dict(sorted(histogram.items())), violations
+    degrees = [oracle_max_degree(n, [u for u in range(1 << n) if m >> u & 1]) for m in masks]
+    least = min(degrees)
+    return {
+        "subsets_checked": len(masks),
+        "min_max_degree": least,
+        "argmin_subset": masks[degrees.index(least)],
+        "histogram": dict(Counter(degrees)),
+        "violations": sum(d < bound for d in degrees),
+    }
+
+
+def oracle_colex(n: int, size: int) -> List[int]:
+    """Every size-subset of Q_n's vertices as a bitmask, in colex order
+    (colex order of subsets is the numeric order of their bitmasks)."""
+    return sorted(sum(1 << u for u in subset) for subset in combinations(range(1 << n), size))
 
 
 # -- dense linear-algebra oracles ----------------------------------------------

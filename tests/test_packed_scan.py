@@ -1,0 +1,169 @@
+"""Packed scan: the bit-sliced degree kernel against the plain loops.
+
+Core claims:
+    - ``degree_sets`` gives, for every vertex, exactly the thresholds of
+      its induced degree, also with many subsets packed side by side
+      (padded 8-bit lanes for n <= 3, machine-word lanes for n = 4..6,
+      wide lanes from n = 7 on) and no bit crossing a lane
+    - ``enumerate_and_verify`` reproduces the oracle's histogram,
+      violations, minimum and argmin (the smallest rank) for exhaustive and
+      random plans, below and above half the cube
+    - block and shard boundaries change nothing, ties across them included
+"""
+
+import concurrent.futures
+import math
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubesense import EnumerationPlan, InducedSubgraph, RandomSample, enumerate_and_verify
+from cubesense import exhaustive
+from cubesense.cube import degree_sets, lane_width
+from cubesense.exhaustive import max_induced_degree, random_masks, sample_mask
+
+from helpers import oracle_colex, oracle_max_degree, oracle_scan
+
+
+def degrees(n, members):
+    return {
+        u: sum(members >> (u ^ (1 << b)) & 1 for b in range(n))
+        for u in range(1 << n)
+        if members >> u & 1
+    }
+
+
+def assert_kernel(n, masks):
+    width = lane_width(n)
+    packed = sum(m << (i * width) for i, m in enumerate(masks))
+    at_least = degree_sets(packed, n)
+    assert len(at_least) == n + 1
+    for i, members in enumerate(masks):
+        deg = degrees(n, members)
+        for k in range(n + 1):
+            lane = at_least[k] >> (i * width) & ((1 << width) - 1)
+            assert lane == sum(1 << u for u, d in deg.items() if d >= k), (n, members, k)
+        expected = max(deg.values(), default=0)
+        assert max_induced_degree(members, n) == expected
+        if members:
+            H = InducedSubgraph(n, members)
+            best = min(u for u, d in deg.items() if d == expected)
+            assert H.max_degree() == (best, expected)
+
+
+def report_view(n, plan):
+    report = enumerate_and_verify(plan).to_json_dict()
+    return {
+        "subsets_checked": report["subsets_checked"],
+        "min_max_degree": report["min_max_degree"],
+        "argmin_subset": sum(1 << int(line, 2) for line in report["argmin_subset"]),
+        "histogram": {int(k): v for k, v in report["histogram"].items()},
+        "violations": report["violations"],
+    }
+
+
+def plan_masks(plan):
+    if isinstance(plan.strategy, RandomSample):
+        return random_masks(plan)
+    return oracle_colex(plan.n, plan.subset_size)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_matches_loop_in_packed_lanes(n):
+    rng = random.Random(n)
+    universe = 1 << n
+    masks = [0, (1 << universe) - 1] + [
+        sample_mask(rng, universe, rng.randrange(1, universe + 1)) for _ in range(20)
+    ]
+    assert_kernel(n, masks)
+    assert_kernel(n, masks[2:3])
+
+
+@pytest.mark.parametrize(
+    "n,size",
+    [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (3, 5), (3, 8),
+     (4, 2), (4, 8), (4, 9), (4, 16), (5, 3), (5, 4), (5, 31), (6, 2), (6, 64), (7, 2)],
+)
+def test_exhaustive_plans_match_oracle(n, size):
+    # (5, 4) is 35,960 subsets: 18 blocks of BLOCK_BITS // 32 = 2048
+    plan = EnumerationPlan(n, size)
+    assert report_view(n, plan) == oracle_scan(n, plan_masks(plan))
+
+
+@pytest.mark.parametrize(
+    "n,size,count",
+    [(3, 4, 40), (4, 8, 300), (4, 9, 300), (5, 16, 500), (5, 17, 20000), (6, 33, 300),
+     (7, 64, 40), (7, 65, 40), (8, 129, 10)],
+)
+def test_random_plans_match_oracle(n, size, count):
+    plan = EnumerationPlan(n, size, RandomSample(count, n + size))
+    assert report_view(n, plan) == oracle_scan(n, plan_masks(plan))
+
+
+def test_sizes_at_or_below_half_report_violations():
+    for n, size in ((3, 4), (4, 8), (5, 3)):
+        report = enumerate_and_verify(EnumerationPlan(n, size))
+        assert report.violations > 0
+        assert not report.ok
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor and runs the shard jobs inline."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("block_bits", [8, 7 * 16, 64 * 16, exhaustive.BLOCK_BITS])
+def test_block_and_shard_boundaries(monkeypatch, block_bits):
+    # ties for the minimum fall in many blocks and shards: the argmin must
+    # stay the smallest rank whichever block or shard holds it (blocks of
+    # 8 bits hold one subset each)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(exhaustive, "BLOCK_BITS", block_bits)
+    plans = [
+        EnumerationPlan(3, 5),
+        EnumerationPlan(4, 9),
+        EnumerationPlan(4, 13),
+        EnumerationPlan(5, 17, RandomSample(3000, 5)),
+        EnumerationPlan(7, 65, RandomSample(30, 2)),
+    ]
+    if block_bits > 7 * 16:
+        plans.append(EnumerationPlan(5, 4))
+    for plan in plans:
+        expected = oracle_scan(plan.n, plan_masks(plan))
+        for shards in (1, 2, 3):
+            sharded = EnumerationPlan(
+                plan.n, plan.subset_size, plan.strategy, parallel_shards=shards
+            )
+            assert report_view(plan.n, sharded) == expected, (plan, shards)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_random_plans_match_oracle_property(n, data):
+    universe = 1 << n
+    size = data.draw(st.integers(1, universe), label="size")
+    count = data.draw(st.integers(1, 60), label="count")
+    seed = data.draw(st.integers(0, 2**31), label="seed")
+    shards = data.draw(st.integers(1, 3), label="shards")
+    block_bits = data.draw(st.integers(1, 40), label="block_subsets") * lane_width(n)
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", SerialPool), \
+            mock.patch.object(exhaustive, "BLOCK_BITS", block_bits):
+        plan = EnumerationPlan(n, size, RandomSample(count, seed), parallel_shards=shards)
+        assert report_view(n, plan) == oracle_scan(n, plan_masks(plan))
+        if math.comb(universe, size) <= 2000:
+            plan = EnumerationPlan(n, size, parallel_shards=shards)
+            assert report_view(n, plan) == oracle_scan(n, plan_masks(plan))
