@@ -28,9 +28,9 @@ and the column scaling moves no zero, so the lift is the vector a direct
 elimination of the whole system over Q(sqrt(d)) finds. The eigen-residual
 is still checked over Q(sqrt(d)) on every call.
 
-Float mode takes ``x_O`` from numpy's SVD of the dense |E'| x |O| matrix
-``M[E', O]``, in place of an SVD of the whole |N[H]| x |H| system, and
-lifts ``x_E = M[E, O] x_O / s``. The eigen-residual of the lifted vector is
+Float mode takes ``x_O`` from one Householder QR of the dense matrix
+``M[E', O]^T`` instead of solving the whole |N[H]| x |H| system, and lifts
+``x_E = M[E, O] x_O / s``. The eigen-residual of the lifted vector is
 checked within tolerance on every call, and the dense solve is refused
 before it allocates when it would exceed ``FLOAT_SOLVE_MAX_BYTES``.
 """
@@ -48,7 +48,7 @@ from .matrices import SignedCubeMatrix, build_matrix
 from .scalars import QuadraticScalar, ScalarMode, exact_sign
 
 EXACT_DEFAULT_LIMIT = 12  # exact elimination is the default up to this n
-FLOAT_SOLVE_MAX_BYTES = 1 << 29  # M[E', O] plus V of its SVD, float64, at most 512 MiB
+FLOAT_SOLVE_MAX_BYTES = 1 << 29  # three float64 copies of M[E', O] for its QR, at most 512 MiB
 
 
 class SubgraphTooSmallError(ValueError):
@@ -204,31 +204,35 @@ def _first_kernel_vector(
 def _float_kernel_vector(
     rows: List[Dict[int, float]], num_cols: int, tol: float
 ) -> List[float]:
-    """A unit kernel vector of the dense matrix with these sparse rows.
+    """A unit kernel vector of the dense matrix A with these sparse rows.
 
-    The float path passes ``M[E', O]``, which has more columns than rows:
-    the last row of the full ``V^T`` of its SVD then lies in the kernel, and
-    with no rows at all any vector does, so the first unit vector is
-    returned. A system with at least as many rows as columns has a kernel
-    only if its smallest singular value is negligible; otherwise this
-    raises ``NumericalRankError``.
+    The float path passes ``M[E', O]``, which has more columns than rows, so
+    the last column of Q in one Householder QR ``A^T = Q R`` is a kernel
+    vector whatever the rank: ``A Q e_last = R^T e_last = 0``, R's last row
+    being zero. It is built by applying the reflectors to ``e_last``. With
+    no rows the first unit vector is returned; a system with no more columns
+    than rows raises ``NumericalRankError``. ``tol`` is unused: nothing
+    decides a rank, and the caller's eigen-residual check certifies.
     """
     if not rows:
         return [1.0] + [0.0] * (num_cols - 1)
+    if len(rows) >= num_cols:
+        raise NumericalRankError("no more columns than rows; rerun in exact mode")
     import numpy as np
 
     a = np.zeros((len(rows), num_cols))
     for i, row in enumerate(rows):
         for j, val in row.items():
             a[i, j] = val
-    # full V: a wide matrix's kernel is spanned by the rows of V^T past its rank
-    _, singular, vt = np.linalg.svd(a)
-    if len(singular) == num_cols and singular[-1] > tol * max(singular[0], 1.0):
-        raise NumericalRankError(
-            f"smallest singular value {singular[-1]:.3e} is not negligible "
-            f"against {singular[0]:.3e}; rerun in exact mode"
-        )
-    return [float(x) for x in vt[-1]]
+    # row j of h from column j on is reflector j once its head, R's diagonal, is set to 1
+    h, tau = np.linalg.qr(a.T, mode="raw")
+    np.fill_diagonal(h, 1.0)
+    x = np.zeros(num_cols)
+    x[-1] = 1.0
+    for j in range(len(tau) - 1, -1, -1):  # Q e_last = H_0 ... H_{r-1} e_last
+        v = h[j, j:]
+        x[j:] -= tau[j] * (v @ x[j:]) * v
+    return x.tolist()
 
 
 def _even_vertices(n: int) -> int:
@@ -241,19 +245,19 @@ def _even_vertices(n: int) -> int:
 
 
 def _check_float_solve_size(H: InducedSubgraph) -> None:
-    """Refuse, before allocating, a dense ``M[E', O]`` whose matrix plus
-    SVD factor ``V`` would exceed ``FLOAT_SOLVE_MAX_BYTES``. U, which is
-    smaller than V, and LAPACK's workspace come on top. With E' empty no
-    SVD runs and nothing dense is allocated."""
+    """Refuse, before allocating, a QR of the dense ``M[E', O]^T`` that
+    would exceed ``FLOAT_SOLVE_MAX_BYTES``: the block, numpy's working copy
+    and LAPACK's column-major copy are alive at once. With E' empty no QR
+    runs and nothing dense is allocated."""
     even = _even_vertices(H.n)
     num_rows = (even & ~H.members).bit_count()
     num_cols = (H.members & ~even).bit_count()
-    needed = 8 * (num_rows * num_cols + num_cols * num_cols) if num_rows else 0
+    needed = 3 * 8 * num_rows * num_cols
     if needed > FLOAT_SOLVE_MAX_BYTES:
         raise DenseSolveTooLargeError(
-            f"float solve needs a dense {num_rows} x {num_cols} matrix and its "
-            f"{num_cols} x {num_cols} SVD factor, {needed / 2**20:.0f} MiB, over "
-            f"the {FLOAT_SOLVE_MAX_BYTES / 2**20:.0f} MiB bound"
+            f"float solve needs three copies of a dense {num_cols} x {num_rows} "
+            f"matrix, {needed / 2**20:.0f} MiB, over the "
+            f"{FLOAT_SOLVE_MAX_BYTES / 2**20:.0f} MiB bound"
         )
 
 

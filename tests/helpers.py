@@ -22,6 +22,7 @@ from cubesense import (
     build_matrix,
 )
 from cubesense.witness import (
+    NumericalRankError,
     _first_kernel_vector,
     _normalize_max_coordinate,
     _restricted_rows,
@@ -152,6 +153,36 @@ def oracle_quadratic_eigenvector(w: WeightConfig, H: InducedSubgraph) -> Multive
     kernel = _first_kernel_vector(rows, len(columns))
     assert kernel is not None, "large H always meets the positive eigenspace"
     return Multivector(H.n, dict(zip(columns, _normalize_max_coordinate(kernel))))
+
+
+def oracle_float_kernel_vector(
+    rows: List[Dict[int, float]], num_cols: int, tol: float
+) -> List[float]:
+    """A unit kernel vector of the dense matrix with these sparse rows.
+
+    The float path passes ``M[E', O]``, which has more columns than rows:
+    the last row of the full ``V^T`` of its SVD then lies in the kernel, and
+    with no rows at all any vector does, so the first unit vector is
+    returned. A system with at least as many rows as columns has a kernel
+    only if its smallest singular value is negligible; otherwise this
+    raises ``NumericalRankError``.
+    """
+    if not rows:
+        return [1.0] + [0.0] * (num_cols - 1)
+    import numpy as np
+
+    a = np.zeros((len(rows), num_cols))
+    for i, row in enumerate(rows):
+        for j, val in row.items():
+            a[i, j] = val
+    # full V: a wide matrix's kernel is spanned by the rows of V^T past its rank
+    _, singular, vt = np.linalg.svd(a)
+    if len(singular) == num_cols and singular[-1] > tol * max(singular[0], 1.0):
+        raise NumericalRankError(
+            f"smallest singular value {singular[-1]:.3e} is not negligible "
+            f"against {singular[0]:.3e}; rerun in exact mode"
+        )
+    return [float(x) for x in vt[-1]]
 
 
 def oracle_rational_rows(

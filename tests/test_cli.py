@@ -143,8 +143,20 @@ def test_witness_float_solve_refused_before_it_allocates():
     assert time.perf_counter() - start < 30
 
 
+def test_witness_float_solve_refused_at_n15():
+    # minimal H at n = 15: one copy of M[E', O] (505 MiB) would fit the bound,
+    # the three copies its QR holds at once (1515 MiB) do not
+    start = time.perf_counter()
+    proc = run_cli(
+        "witness", "--n", "15", "--subgraph", "random:16385:0", "--mode", "float", expect=1
+    )
+    assert "MiB bound" in proc.stderr
+    assert proc.stdout == ""
+    assert time.perf_counter() - start < 30
+
+
 def test_witness_float_full_cube_needs_no_dense_solve():
-    # the whole of Q_15 leaves no even vertex outside H, so no SVD runs
+    # the whole of Q_15 leaves no even vertex outside H, so no QR runs
     proc = run_cli("witness", "--n", "15", "--subgraph", "random:32768:0", "--mode", "float")
     payload = json.loads(proc.stdout)
     jsonschema.validate(payload, load_schema("witness_report.schema.json"))

@@ -14,7 +14,8 @@ Core claims:
       wherever exact mode's largest coordinate is unique
     - the edge cases E' empty (all even vertices plus one odd) and E empty
       but one (all odd vertices plus one even)
-    - the size bound refuses an oversized float solve before any SVD runs
+    - the size bound counts three copies of M[E', O] and refuses an
+      oversized float solve before its QR runs
 """
 
 import random
@@ -251,21 +252,29 @@ def test_even_vertices_bitset():
         assert witness._even_vertices(n) == expected
 
 
-def test_size_bound_is_inclusive_and_checked_before_svd(monkeypatch):
+def test_size_bound_is_inclusive_and_checked_before_qr(monkeypatch):
     rng = random.Random(7)
     H = random_large(rng, 6)
     _, odd, outside = parity_split(H)
-    needed = 8 * (len(outside) * len(odd) + len(odd) ** 2)
+    needed = 3 * 8 * len(outside) * len(odd)
     w = WeightConfig.uniform(6)
+    calls = []
+    qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
 
     monkeypatch.setattr(witness, "FLOAT_SOLVE_MAX_BYTES", needed)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     assert run_pipeline(w, H, FLOAT).certified
+    assert calls == [(len(odd), len(outside))]  # the bound guards the QR that runs
 
-    def no_svd(*args, **kwargs):
-        raise AssertionError("the SVD ran although the solve was refused")
+    def no_qr(*args, **kwargs):
+        raise AssertionError("the QR ran although the solve was refused")
 
     monkeypatch.setattr(witness, "FLOAT_SOLVE_MAX_BYTES", needed - 1)
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
     with pytest.raises(DenseSolveTooLargeError, match="bound"):
         run_pipeline(w, H, FLOAT)
     assert run_pipeline(w, H, ScalarMode.exact()).certified  # exact mode is not bounded
