@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import exhaustive as exhaustive_mod
-from .cube import InducedSubgraph, parse_subgraph
+from .cube import InducedSubgraph, check_dimension, parse_subgraph
 from .exterior import WeightConfig
 from .matrices import build_matrix, spectral_report, verify_square_identity
 from .scalars import ScalarMode, parse_rational
@@ -53,11 +53,7 @@ def _add_mode_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_mode(args: argparse.Namespace, n: int) -> ScalarMode:
-    if args.mode == "exact":
-        return ScalarMode.exact()
-    if args.mode == "float":
-        return ScalarMode.floating(args.tol)
-    return resolve_mode(n, None)
+    return resolve_mode(n, None if args.mode == "auto" else ScalarMode(args.mode, args.tol))
 
 
 def _parse_coords(text: str, n: int, what: str) -> List[Fraction]:
@@ -100,6 +96,7 @@ def _load_subgraph(args: argparse.Namespace) -> InducedSubgraph:
             raise ValueError("random source must look like random:<size>:<seed>")
         if n is None:
             raise ValueError("--n is required with a random subgraph source")
+        check_dimension(n)  # before drawing: a draw builds ints of up to 2^n bits
         size, seed = int(parts[1]), int(parts[2])
         mask = exhaustive_mod.sample_mask(random.Random(seed), 1 << n, size)
         return InducedSubgraph(n, mask)

@@ -351,23 +351,14 @@ def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
     """
     bound = plan.degree_bound()
     shards = plan.parallel_shards
+    cuts = [plan.total_to_scan * i // shards for i in range(shards + 1)]
+    spans = [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
     if isinstance(plan.strategy, RandomSample):
         masks = random_masks(plan)
-        cuts = [len(masks) * i // shards for i in range(shards + 1)]
-        jobs = [
-            (plan.n, cuts[i], masks[cuts[i] : cuts[i + 1]], bound)
-            for i in range(shards)
-            if cuts[i] < cuts[i + 1]
-        ]
+        jobs = [(plan.n, start, masks[start:stop], bound) for start, stop in spans]
         total = _run_shards(jobs, _scan_mask_list, shards)
     else:
-        universe = plan.universe_size
-        cuts = [universe * i // shards for i in range(shards + 1)]
-        jobs = [
-            (plan.n, plan.subset_size, cuts[i], cuts[i + 1], bound)
-            for i in range(shards)
-            if cuts[i] < cuts[i + 1]
-        ]
+        jobs = [(plan.n, plan.subset_size, start, stop, bound) for start, stop in spans]
         total = _run_shards(jobs, _scan_exhaustive_shard, shards)
 
     if total.min_max_degree is None:

@@ -172,7 +172,10 @@ class EigenSplit:
         self._s_inv = 1 / self.s
 
     def project(self, vec: Sequence[Scalar], sign: int) -> list:
-        image = self.matrix.apply(vec)
+        return self._combine(vec, self.matrix.apply(vec), sign)
+
+    def _combine(self, vec: Sequence[Scalar], image: Sequence[Scalar], sign: int) -> list:
+        """``P_+- vec = (vec +- image / s) / 2`` for the eigen image ``M vec``."""
         half, s_inv = self._half, self._s_inv
         if sign > 0:
             return [half * (x + s_inv * y) for x, y in zip(vec, image)]
@@ -231,8 +234,8 @@ def spectral_report(
         scale = max(abs(float(x)) for x in vec)
         for sign in (1, -1):
             once = split.project(vec, sign)
-            twice = split.project(once, sign)
             eigen_image = M.apply(once)
+            twice = split._combine(once, eigen_image, sign)
             s_once = [split.s * x for x in once]
             for a, b, c, d in zip(once, twice, eigen_image, s_once):
                 # A P_+- = +-s P_+- alongside idempotency

@@ -37,15 +37,14 @@ before it allocates when it would exceed ``FLOAT_SOLVE_MAX_BYTES``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cube import DegreeProfile, InducedSubgraph, format_vertex
 from .exterior import Multivector, Scalar, WeightConfig, apply_A
 from .matrices import SignedCubeMatrix, build_matrix
-from .scalars import QuadraticScalar, ScalarMode, exact_sign
+from .scalars import ScalarMode, exact_sign
 
 EXACT_DEFAULT_LIMIT = 12  # exact elimination is the default up to this n
 FLOAT_SOLVE_MAX_BYTES = 1 << 29  # three float64 copies of M[E', O] for its QR, at most 512 MiB
@@ -201,9 +200,7 @@ def _first_kernel_vector(
     return None
 
 
-def _float_kernel_vector(
-    rows: List[Dict[int, float]], num_cols: int, tol: float
-) -> List[float]:
+def _float_kernel_vector(rows: List[Dict[int, float]], num_cols: int) -> List[float]:
     """A unit kernel vector of the dense matrix A with these sparse rows.
 
     The float path passes ``M[E', O]``, which has more columns than rows, so
@@ -211,8 +208,8 @@ def _float_kernel_vector(
     vector whatever the rank: ``A Q e_last = R^T e_last = 0``, R's last row
     being zero. It is built by applying the reflectors to ``e_last``. With
     no rows the first unit vector is returned; a system with no more columns
-    than rows raises ``NumericalRankError``. ``tol`` is unused: nothing
-    decides a rank, and the caller's eigen-residual check certifies.
+    than rows raises ``NumericalRankError``. Nothing decides a rank, so no
+    tolerance enters: the caller's eigen-residual check certifies.
     """
     if not rows:
         return [1.0] + [0.0] * (num_cols - 1)
@@ -261,33 +258,36 @@ def _check_float_solve_size(H: InducedSubgraph) -> None:
         )
 
 
-def _float_parity_kernel(
-    M: SignedCubeMatrix, s: float, H: InducedSubgraph, tol: float
-) -> Dict[int, float]:
+def _float_parity_kernel(M: SignedCubeMatrix, s: float, H: InducedSubgraph) -> Dict[int, float]:
     """A kernel vector of ``(M - s I)`` restricted to H, by vertex: ``x_O``
     from ``ker M[E', O]`` and ``x_E = M[E, O] x_O / s``. Vertices of H
     absent from the result have coordinate 0."""
     odd = [gamma for gamma in H.vertices() if gamma.bit_count() & 1]
     inside, outside = _even_rows(M, H, odd)
-    x_odd = _float_kernel_vector([outside[b] for b in sorted(outside)], len(odd), tol)
+    x_odd = _float_kernel_vector([outside[b] for b in sorted(outside)], len(odd))
     coords = dict(zip(odd, x_odd))
     for beta, row in inside.items():
         coords[beta] = sum(val * x_odd[j] for j, val in row.items()) / s
     return coords
 
 
+def _max_coordinate(pairs: Iterable[Tuple[int, Scalar]]) -> Optional[Tuple[int, Scalar]]:
+    """The first (vertex, value) pair of largest magnitude; None if empty."""
+    best = best_abs = None
+    for vertex, val in pairs:
+        mag = abs(val)
+        if best_abs is None or mag > best_abs:
+            best, best_abs = (vertex, val), mag
+    return best
+
+
 def _normalize_max_coordinate(values: List[Scalar]) -> List[Scalar]:
     """Scale so the max-magnitude coordinate (first, i.e. smallest column,
     on ties) becomes exactly +1."""
-    best = None
-    best_abs = None
-    for val in values:
-        mag = abs(val)
-        if best_abs is None or mag > best_abs:
-            best, best_abs = val, mag
-    if best is None or best == 0:
+    best = _max_coordinate(enumerate(values))
+    if best is None or best[1] == 0:
         raise InvariantViolation("kernel vector is zero")
-    return [val / best for val in values]
+    return [val / best[1] for val in values]
 
 
 def positive_eigenvector_in_span(
@@ -325,7 +325,7 @@ def positive_eigenvector_in_span(
             for gamma, val in zip(columns, y)
         ]
     else:
-        coords = _float_parity_kernel(M, s, H, mode.tol)
+        coords = _float_parity_kernel(M, s, H)
         kernel = [coords.get(gamma, 0.0) for gamma in columns]
     kernel = _normalize_max_coordinate(kernel)
     omega = Multivector(H.n, dict(zip(columns, kernel)))
@@ -364,7 +364,8 @@ def extract_witness(
     The certified comparison is done on the unnormalized form
     ``a*indeg + b*outdeg >= sqrt(lambda(v))`` (a, b the sup norms), which
     is the reported inequality scaled by ``sqrt(a*b) > 0``; this keeps the
-    exact comparison inside a single quadratic field.
+    exact comparison inside a single quadratic field, whereas ``ratio`` and
+    ``bound_lhs`` may lie in different ones.
     """
     mode = resolve_mode(H.n, mode)
     if w.n != H.n or omega.n != H.n:
@@ -373,33 +374,22 @@ def extract_witness(
         )
     if omega.is_zero:
         raise ValueError("eigenvector is zero")
-    support = omega.support()
-    if any(beta not in H for beta in support):
+    if any(beta not in H for beta in omega.support()):
         raise ValueError("eigenvector support is not contained in H")
 
-    beta, coord = support[0], omega.coefficient(support[0])
-    best_abs = abs(coord)
-    for vertex in support[1:]:
-        val = omega.coefficient(vertex)
-        if abs(val) > best_abs:
-            beta, coord, best_abs = vertex, val, abs(val)
+    beta, coord = _max_coordinate(omega.items())
     if exact_sign(coord) < 0:
         coord = -coord  # flip omega so the witness coordinate is positive
 
     profile = H.degree_profile(beta)
     a, b = w.sup_lam, w.sup_v
-
+    ratio = mode.sqrt(a / b)
+    bound_lhs = mode.sqrt(w.pairing / (a * b))
+    bound_rhs = ratio * profile.indegree + profile.outdegree / ratio
     if mode.is_exact:
-        ratio = QuadraticScalar.sqrt_of(a / b)
-        bound_lhs = QuadraticScalar.sqrt_of(w.pairing / (a * b))
-        bound_rhs = ratio * profile.indegree + ratio.inverse() * profile.outdegree
-        threshold = QuadraticScalar.sqrt_of(w.pairing)
-        certified = a * profile.indegree + b * profile.outdegree >= threshold
+        certified = a * profile.indegree + b * profile.outdegree >= mode.sqrt(w.pairing)
         marginal = False
     else:
-        ratio = math.sqrt(a / b)
-        bound_lhs = math.sqrt(w.pairing / (a * b))
-        bound_rhs = ratio * profile.indegree + profile.outdegree / ratio
         diff = bound_rhs - bound_lhs
         noise = mode.tol * max(1.0, abs(bound_lhs))
         marginal = abs(diff) <= noise

@@ -288,3 +288,16 @@ def test_numerical_rank_error_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", flaky)
     assert cli.main(["witness", "--subgraph", "00,01,11"]) == 1
     assert "exact mode" in capsys.readouterr().err
+
+
+def test_random_source_checks_dimension_before_drawing(monkeypatch, capsys):
+    # a draw over 2^40 vertices would build ints of up to 2^40 bits; the
+    # dimension must be refused before sample_mask ever runs
+    import cubesense.cli as cli
+
+    def never(*args):
+        raise AssertionError("sample_mask called before the dimension check")
+
+    monkeypatch.setattr(cli.exhaustive_mod, "sample_mask", never)
+    assert cli.main(["witness", "--n", "40", "--subgraph", "random:2:0"]) == 1
+    assert "dimension must be in" in capsys.readouterr().err

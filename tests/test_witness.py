@@ -9,8 +9,8 @@ Core claims:
     - every kernel vector certifies, not just the canonical one
     - weighted scans at C and 1/C relate through coordinate complement
     - float mode reproduces exact answers within tolerance
-    - the equality cases at n=4 certify in both modes; only float mode
-      flags them as marginal
+    - the equality cases at n=4 and n=9 certify in both modes; only float
+      mode flags them as marginal
 """
 
 import json
@@ -269,7 +269,7 @@ def test_float_rank_detection_failure():
     # a plainly full-rank system must be refused, pointing at exact mode
     rows = [{0: 1.0}, {1: 1.0}]
     with pytest.raises(NumericalRankError):
-        _float_kernel_vector(rows, 2, 1e-9)
+        _float_kernel_vector(rows, 2)
 
 
 def test_reports_serialize_deterministically():
@@ -305,3 +305,25 @@ def test_equality_cases_at_n4():
             assert not exact.marginal
             assert (exact.bound_rhs == exact.bound_lhs) == (ratio == 1)
             assert floaty.marginal == (ratio == 1)
+
+
+def test_equality_case_at_n9():
+    # the sensitivity side of Chung-Furedi-Graham-Seymour: g is the OR over
+    # the three 3-bit blocks of the AND of each block, and H = {g = parity}
+    # has 2^8 + 1 vertices and max degree 3 = sqrt(9), so the bound is tight
+    def g(x):
+        return any(x >> (3 * k) & 0b111 == 0b111 for k in range(3))
+
+    subset = [x for x in range(1 << 9) if g(x) == x.bit_count() % 2]
+    assert len(subset) == 257
+    assert oracle_max_degree(9, subset) == 3
+    H = InducedSubgraph.from_vertices(9, subset)
+    for ratio in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        w = WeightConfig.from_ratio(9, ratio)
+        exact = run_pipeline(w, H, ScalarMode.exact())
+        floaty = run_pipeline(w, H, ScalarMode.floating())
+        assert exact.certified and floaty.certified
+        assert exact.profile.degree == floaty.profile.degree == 3
+        assert not exact.marginal
+        assert (exact.bound_rhs == exact.bound_lhs) == (ratio == 1)
+        assert floaty.marginal == (ratio == 1)
