@@ -25,11 +25,12 @@ def check_vertex(bits: int, n: int) -> None:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield set bit positions of ``mask`` in ascending order, in linear time."""
+    find = bin(mask)[:1:-1].find  # the binary digits, lowest first
+    pos = find("1")
+    while pos >= 0:
+        yield pos
+        pos = find("1", pos + 1)
 
 
 def adjacent(u: int, v: int) -> bool:

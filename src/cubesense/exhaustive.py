@@ -5,13 +5,15 @@ random sample) and aggregates: the minimum over subsets of the max degree
 (with the smallest-rank subset reaching it), a histogram, and the count of
 bound violations (which must be zero).
 
-Subsets are bitmasks over the 2^n vertices, enumerated in colexicographic
-order by Gosper's next-combination hack; rank intervals shard the scan for
-parallel runs, with colex unranking (combinatorial number system) seeking
-each shard to its start. A shard packs each block of masks (up to
-``BLOCK_BITS`` bits) side by side into one int and gets every mask's
-max degree from a single bit-sliced ``cube.degree_sets`` call, so each
-big-int operation serves the whole block.
+Subsets are bitmasks over the 2^n vertices. ``_plan_masks`` alone decides
+a plan's subsets in scan order: colexicographic order by Gosper's
+next-combination hack from a colex-unranked start (combinatorial number
+system), or the seeded sample with the draws before the start discarded.
+A shard job is ``(plan, start, stop)``, so each shard derives its own
+subsets. A shard packs each block of masks (up to ``BLOCK_BITS`` bits)
+side by side into one int and gets every mask's max degree from a single
+bit-sliced ``cube.degree_sets`` call, so each big-int operation serves
+the whole block.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import random
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .cube import (
     InducedSubgraph,
@@ -42,6 +45,7 @@ DEFAULT_BUDGET = 10**8
 # masks alive at once.
 BLOCK_BITS = 1 << 16
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes, standard size
+_BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes -> binary digits
 
 
 class BudgetExceededError(ValueError):
@@ -128,11 +132,19 @@ class EnumerationPlan:
         }
 
 
+def _colex_from(mask: int) -> Iterator[int]:
+    """Gosper's hack (HAKMEM item 175): mask, then each next bitmask with
+    the same popcount, ascending."""
+    while True:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
+
+
 def next_combination(mask: int) -> int:
-    """Gosper's hack: the next bitmask with the same popcount, ascending."""
-    low = mask & -mask
-    ripple = mask + low
-    return (((ripple ^ mask) >> 2) // low) | ripple
+    """The next bitmask with the same popcount, ascending."""
+    return next(islice(_colex_from(mask), 1, None))
 
 
 def unrank_combination(rank: int, k: int) -> int:
@@ -159,18 +171,16 @@ def sample_mask(rng: random.Random, universe: int, size: int) -> int:
     """Floyd's sampling: a uniform size-subset of [0, universe) as a bitmask.
 
     Written out explicitly (rather than random.sample) so the draw depends
-    only on randrange, keeping seeded runs stable.
+    only on randrange, keeping seeded runs stable. Membership is one byte
+    per vertex and the int is built once, so each draw is O(1).
     """
     if not 0 < size <= universe:
         raise ValueError(f"cannot sample {size} of {universe}")
-    mask = 0
+    seen = bytearray(universe)
     for j in range(universe - size, universe):
         t = rng.randrange(j + 1)
-        if mask >> t & 1:
-            mask |= 1 << j
-        else:
-            mask |= 1 << t
-    return mask
+        seen[j if seen[t] else t] = 1
+    return int(seen[::-1].translate(_BYTE_BITS), 2)
 
 
 def sample_ranks(rng: random.Random, universe: int, size: int) -> List[int]:
@@ -256,34 +266,31 @@ def _scan_block(n: int, first_rank: int, masks: List[int], bound: int) -> _Shard
     )
 
 
-def _block_size(n: int) -> int:
-    return max(1, BLOCK_BITS // lane_width(n))
+def _plan_masks(plan: EnumerationPlan, start: int) -> Iterator[int]:
+    """The plan's subsets in scan order from rank ``start``: Gosper's hack
+    from the colex-unranked start, or the seeded sample redrawn with its
+    first ``start`` draws discarded, the same whatever the shard count."""
+    if isinstance(plan.strategy, RandomSample):
+        rng, size = random.Random(plan.strategy.seed), plan.subset_size
+        draws = (sample_mask(rng, 1 << plan.n, size) for _ in range(plan.total_to_scan))
+        return islice(draws, start, None)
+    first = unrank_combination(start, plan.subset_size)
+    return islice(_colex_from(first), plan.total_to_scan - start)
 
 
-def _scan_exhaustive_shard(args: Tuple[int, int, int, int, int]) -> _ShardResult:
-    n, size, start, stop, bound = args
+def _scan_shard(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
+    plan, start, stop = job
+    bound = plan.degree_bound()
+    block = max(1, BLOCK_BITS // lane_width(plan.n))
+    masks = _plan_masks(plan, start)
     result = _ShardResult()
-    mask = unrank_combination(start, size)
-    block = _block_size(n)
     for first in range(start, stop, block):
-        masks = []
-        for _ in range(min(block, stop - first)):
-            masks.append(mask)
-            mask = next_combination(mask)
-        result.merge(_scan_block(n, first, masks, bound))
+        chunk = list(islice(masks, min(block, stop - first)))
+        result.merge(_scan_block(plan.n, first, chunk, bound))
     return result
 
 
-def _scan_mask_list(args: Tuple[int, int, List[int], int]) -> _ShardResult:
-    n, first_rank, masks, bound = args
-    result = _ShardResult()
-    block = _block_size(n)
-    for i in range(0, len(masks), block):
-        result.merge(_scan_block(n, first_rank + i, masks[i : i + block], bound))
-    return result
-
-
-def _run_shards(jobs: list, worker, shards: int) -> _ShardResult:
+def _run_shards(jobs: list, shards: int) -> _ShardResult:
     """Merge the shard results in job order. Shards only partition the
     work: the pool never starts more processes than there are CPUs."""
     total = _ShardResult()
@@ -293,13 +300,13 @@ def _run_shards(jobs: list, worker, shards: int) -> _ShardResult:
 
             workers = min(shards, os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(worker, jobs):
+                for result in pool.map(_scan_shard, jobs):
                     total.merge(result)
             return total
         except OSError:  # pools can be unavailable in sandboxes
             pass
     for job in jobs:
-        total.merge(worker(job))
+        total.merge(_scan_shard(job))
     return total
 
 
@@ -331,16 +338,10 @@ class ExhaustiveReport:
 
 
 def random_masks(plan: EnumerationPlan) -> List[int]:
-    """The full seeded sample for a RandomSample plan, drawn sequentially so
-    the list is independent of shard count."""
+    """The full seeded sample for a RandomSample plan, in scan order."""
     if not isinstance(plan.strategy, RandomSample):
         raise ValueError("plan does not use random sampling")
-    rng = random.Random(plan.strategy.seed)
-    universe = 1 << plan.n
-    return [
-        sample_mask(rng, universe, plan.subset_size)
-        for _ in range(plan.strategy.count)
-    ]
+    return list(_plan_masks(plan, 0))
 
 
 def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
@@ -349,17 +350,10 @@ def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
     Deterministic for a fixed plan regardless of parallel_shards: shard
     boundaries are fixed rank intervals and the merge is ordered.
     """
-    bound = plan.degree_bound()
     shards = plan.parallel_shards
     cuts = [plan.total_to_scan * i // shards for i in range(shards + 1)]
-    spans = [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
-    if isinstance(plan.strategy, RandomSample):
-        masks = random_masks(plan)
-        jobs = [(plan.n, start, masks[start:stop], bound) for start, stop in spans]
-        total = _run_shards(jobs, _scan_mask_list, shards)
-    else:
-        jobs = [(plan.n, plan.subset_size, start, stop, bound) for start, stop in spans]
-        total = _run_shards(jobs, _scan_exhaustive_shard, shards)
+    jobs = [(plan, start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+    total = _run_shards(jobs, shards)
 
     if total.min_max_degree is None:
         raise InvariantViolation("scan produced no subsets")
@@ -397,16 +391,11 @@ def cross_check_with_witness(plan: EnumerationPlan, sample: int) -> CrossCheckRe
     """
     if plan.n > 12:
         raise ValueError("cross-check is limited to n <= 12")
-    if isinstance(plan.strategy, RandomSample):
-        pool_size = plan.strategy.count
-        seed = plan.strategy.seed
-        pool = random_masks(plan)
-    else:
-        pool_size = plan.universe_size
-        seed = 0
-        pool = None
+    pool_size = plan.total_to_scan
     if not 1 <= sample <= pool_size:
         raise ValueError(f"sample must be in [1, {pool_size}]")
+    pool = random_masks(plan) if isinstance(plan.strategy, RandomSample) else None
+    seed = plan.strategy.seed if pool is not None else 0
     chosen = sample_ranks(random.Random(seed), pool_size, sample)
 
     w = WeightConfig.uniform(plan.n, 1, 1)

@@ -137,9 +137,12 @@ def interior_product(v: Sequence[Scalar], omega: Multivector) -> Multivector:
     _check_coords(v, omega)
     out: Dict[int, Scalar] = {}
     for mask, c in omega.items():
-        for pos, b in enumerate(iter_bits(mask)):
-            term = v[b] * c
-            _accumulate(out, mask ^ (1 << b), -term if pos % 2 else term)
+        pos = 0
+        for b in range(omega.n):
+            if mask >> b & 1:
+                term = v[b] * c
+                _accumulate(out, mask ^ (1 << b), -term if pos % 2 else term)
+                pos += 1
     return Multivector(omega.n, out)
 
 

@@ -232,8 +232,9 @@ def spectral_report(
             for _ in range(M.size)
         ]
         scale = max(abs(float(x)) for x in vec)
+        image = M.apply(vec)
         for sign in (1, -1):
-            once = split.project(vec, sign)
+            once = split._combine(vec, image, sign)
             eigen_image = M.apply(once)
             twice = split._combine(once, eigen_image, sign)
             s_once = [split.s * x for x in once]

@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from cubesense import (
     InducedSubgraph,
@@ -73,6 +73,36 @@ def oracle_scan(n: int, masks: Sequence[int]) -> dict:
         "histogram": dict(Counter(degrees)),
         "violations": sum(d < bound for d in degrees),
     }
+
+
+def oracle_iter_bits(mask: int) -> Iterator[int]:
+    """Set bit positions in ascending order by clearing the lowest bit each
+    step (quadratic in the mask's length)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def oracle_sample_mask(rng: random.Random, universe: int, size: int) -> int:
+    """Floyd's sampling with the subset kept as an int and each draw ORed in
+    (quadratic in the universe): the reference for the seeded draw."""
+    if not 0 < size <= universe:
+        raise ValueError(f"cannot sample {size} of {universe}")
+    mask = 0
+    for j in range(universe - size, universe):
+        t = rng.randrange(j + 1)
+        if mask >> t & 1:
+            mask |= 1 << j
+        else:
+            mask |= 1 << t
+    return mask
+
+
+def oracle_random_masks(n: int, size: int, count: int, seed: int) -> List[int]:
+    """A random plan's sample: ``count`` sequential draws from one seeded rng."""
+    rng = random.Random(seed)
+    return [oracle_sample_mask(rng, 1 << n, size) for _ in range(count)]
 
 
 def oracle_colex(n: int, size: int) -> List[int]:

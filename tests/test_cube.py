@@ -6,6 +6,7 @@ Core claims:
     - max_degree breaks ties toward the smallest bitmask
     - the handshake parity and full-cube degree identities hold
     - the one-vertex-per-line text format round-trips
+    - iter_bits lists set bits like the bit-clearing loop, up to 5000 bits
 """
 
 import random
@@ -21,6 +22,9 @@ from cubesense import (
     parse_subgraph,
     parse_vertex,
 )
+from cubesense.cube import iter_bits
+
+from helpers import oracle_iter_bits
 
 
 def test_adjacent_basics():
@@ -152,3 +156,12 @@ def test_vertex_range_validation():
         InducedSubgraph(0, 0)
     with pytest.raises(ValueError):
         InducedSubgraph(25, 0)
+
+
+def test_iter_bits_matches_oracle():
+    rng = random.Random(31)
+    masks = [0, (1 << 5000) - 1] + [1 << b for b in (0, 1, 7, 63, 64, 4999)]
+    masks += [rng.getrandbits(rng.randrange(1, 5001)) for _ in range(200)]
+    masks += [rng.getrandbits(64) & rng.getrandbits(64) for _ in range(200)]
+    for mask in masks:
+        assert list(iter_bits(mask)) == list(oracle_iter_bits(mask)), mask

@@ -8,6 +8,7 @@ Core claims:
     - the recursive signing satisfies B_n^2 = n I and is switching
       equivalent to the operator matrix at a = b = 1
     - every 2-face of a +-1 signing carries edge-sign product -1
+    - spectral_report applies M three times per spot-check vector
 """
 
 import io
@@ -141,6 +142,22 @@ def test_spectral_report_examples():
     assert report1.ok
     assert report1.multiplicity_plus == 1 and report1.multiplicity_minus == 1
     assert report1.eigenvalue * report1.eigenvalue == 10
+
+
+@pytest.mark.parametrize("num_vectors", [1, 8])
+def test_spectral_report_one_image_per_vector(monkeypatch, num_vectors):
+    # M v once per vector, shared by P_+ v and P_- v, then M P_+ v and M P_- v
+    calls = []
+    apply = SignedCubeMatrix.apply
+
+    def counted(self, vec):
+        calls.append(len(vec))
+        return apply(self, vec)
+
+    monkeypatch.setattr(SignedCubeMatrix, "apply", counted)
+    w = WeightConfig.uniform(3, 1, 2)
+    assert spectral_report(build_matrix(w), w, num_vectors=num_vectors).ok
+    assert calls == [8] * (3 * num_vectors)
 
 
 def test_two_dimensional_characteristic_polynomial():

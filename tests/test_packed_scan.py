@@ -9,6 +9,8 @@ Core claims:
       violations, minimum and argmin (the smallest rank) for exhaustive and
       random plans, below and above half the cube
     - block and shard boundaries change nothing, ties across them included
+    - the seeded draw equals the plain Floyd loop, and each shard streams
+      its subsets from the plan from any start rank
 """
 
 import concurrent.futures
@@ -25,7 +27,13 @@ from cubesense import exhaustive
 from cubesense.cube import degree_sets, lane_width
 from cubesense.exhaustive import max_induced_degree, random_masks, sample_mask
 
-from helpers import oracle_colex, oracle_max_degree, oracle_scan
+from helpers import (
+    oracle_colex,
+    oracle_max_degree,
+    oracle_random_masks,
+    oracle_sample_mask,
+    oracle_scan,
+)
 
 
 def degrees(n, members):
@@ -67,7 +75,8 @@ def report_view(n, plan):
 
 def plan_masks(plan):
     if isinstance(plan.strategy, RandomSample):
-        return random_masks(plan)
+        strategy = plan.strategy
+        return oracle_random_masks(plan.n, plan.subset_size, strategy.count, strategy.seed)
     return oracle_colex(plan.n, plan.subset_size)
 
 
@@ -167,3 +176,43 @@ def test_random_plans_match_oracle_property(n, data):
         if math.comb(universe, size) <= 2000:
             plan = EnumerationPlan(n, size, parallel_shards=shards)
             assert report_view(n, plan) == oracle_scan(n, plan_masks(plan))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sample_mask_matches_oracle(n):
+    universe = 1 << n
+    for seed in (0, 1, 7, 2**31 + 5):
+        for size in (1, universe // 2 + 1, universe):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):  # later draws continue the same rng
+                assert sample_mask(rng, universe, size) == oracle_sample_mask(
+                    oracle_rng, universe, size
+                ), (n, seed, size)
+            assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_plan_masks_from_any_start():
+    # a shard starting at rank r scans exactly the stream's tail from r
+    plans = [
+        EnumerationPlan(3, 4),
+        EnumerationPlan(4, 9, RandomSample(50, 3)),
+        EnumerationPlan(2, 4, RandomSample(5, 0)),
+    ]
+    for plan in plans:
+        stream = plan_masks(plan)
+        assert len(stream) == plan.total_to_scan
+        for start in sorted({0, 1, 17, len(stream) - 1, len(stream)}):
+            assert list(exhaustive._plan_masks(plan, start)) == stream[start:], (plan, start)
+        if isinstance(plan.strategy, RandomSample):
+            assert random_masks(plan) == stream
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_random_scan_builds_no_sample_list(monkeypatch, shards):
+    def never(plan):
+        raise AssertionError("the scan built the whole sample")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(exhaustive, "random_masks", never)
+    plan = EnumerationPlan(5, 17, RandomSample(700, 9), parallel_shards=shards)
+    assert report_view(5, plan) == oracle_scan(5, plan_masks(plan))
