@@ -267,13 +267,16 @@ def _scan_block(n: int, first_rank: int, masks: List[int], bound: int) -> _Shard
 
 
 def _plan_masks(plan: EnumerationPlan, start: int) -> Iterator[int]:
-    """The plan's subsets in scan order from rank ``start``: Gosper's hack
-    from the colex-unranked start, or the seeded sample redrawn with its
-    first ``start`` draws discarded, the same whatever the shard count."""
+    """The plan's subsets in scan order from rank ``start``, whatever the
+    shard count: Gosper's hack from the colex-unranked start, or the seeded
+    sample after ``start`` skipped draws. Floyd's ``randrange`` bounds do
+    not depend on the draw, so a skipped draw builds no mask."""
     if isinstance(plan.strategy, RandomSample):
-        rng, size = random.Random(plan.strategy.seed), plan.subset_size
-        draws = (sample_mask(rng, 1 << plan.n, size) for _ in range(plan.total_to_scan))
-        return islice(draws, start, None)
+        rng, universe, size = random.Random(plan.strategy.seed), 1 << plan.n, plan.subset_size
+        for _ in range(start):
+            for j in range(universe - size, universe):
+                rng.randrange(j + 1)
+        return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan - start))
     first = unrank_combination(start, plan.subset_size)
     return islice(_colex_from(first), plan.total_to_scan - start)
 

@@ -15,24 +15,28 @@ and let E' be the even vertices outside H. The even rows of the system read
 hold by ``M^2 = lambda(v) I``. The restricted kernel is therefore exactly
 ``{x : x_O in ker M[E', O], x_E = M[E, O] x_O / s}``, and ``M[E', O]`` has
 ``|O| - |E'| = |H| - 2^(n-1) >= 1`` more columns than rows, so a kernel
-vector always exists. Both modes solve only these even rows, built by
-``_even_rows``.
+vector always exists.
 
-Exact mode substitutes ``x_O = s y_O`` and ``x_E = y_E``. The even rows
-become ``[M[E' u E, O] | -I_E]`` over H's columns in vertex order, with the
-weights themselves as entries, so Gaussian elimination over Q finds the
-first free column's kernel vector ``y``, and only the lift ``x = (y_E, s y_O)``
-enters Q(sqrt(d)). Up to scale that vector is the unique kernel vector whose
-last nonzero column comes earliest. Dropping implied rows keeps the kernel
-and the column scaling moves no zero, so the lift is the vector a direct
-elimination of the whole system over Q(sqrt(d)) finds. The eigen-residual
-is still checked over Q(sqrt(d)) on every call.
+Both modes solve only these even rows, built by ``_even_rows``, for a
+parity pair ``y`` with ``y_O`` in ``ker M[E', O]`` and
+``y_E = M[E, O] y_O``, so that ``x = y_E + s y_O``. Exact mode eliminates
+``[M[E' u E, O] | -I_E]`` over H's columns in vertex order, with the
+weights themselves as entries, over Q and takes the first free column's
+kernel vector ``y``. Up to scale, x is then the unique kernel vector whose
+last nonzero column comes earliest: dropping implied rows keeps the kernel
+and the column scaling moves no zero, so it is the vector a direct
+elimination of the whole system over Q(sqrt(d)) finds. Float mode takes
+``y_O`` from one Householder QR of the dense ``M[E', O]^T`` and refuses
+that solve before it allocates when it would exceed
+``FLOAT_SOLVE_MAX_BYTES``.
 
-Float mode takes ``x_O`` from one Householder QR of the dense matrix
-``M[E', O]^T`` instead of solving the whole |N[H]| x |H| system, and lifts
-``x_E = M[E, O] x_O / s``. The eigen-residual of the lifted vector is
-checked within tolerance on every call, and the dense solve is refused
-before it allocates when it would exceed ``FLOAT_SOLVE_MAX_BYTES``.
+Normalization and the certificate never touch s. Write the normalized
+eigenvector as ``omega = p + s q``, p on the max-coordinate vertex's
+parity and q on the other. A swaps parity and ``s^2 = lambda(v)``, so
+``A omega = s omega`` holds exactly when the two identities ``A q = p``
+and ``A p = lambda(v) q`` do. Both are checked through the independent
+exterior path on every call, exactly or within tolerance; s enters only
+in the returned sum.
 """
 
 from __future__ import annotations
@@ -258,19 +262,6 @@ def _check_float_solve_size(H: InducedSubgraph) -> None:
         )
 
 
-def _float_parity_kernel(M: SignedCubeMatrix, s: float, H: InducedSubgraph) -> Dict[int, float]:
-    """A kernel vector of ``(M - s I)`` restricted to H, by vertex: ``x_O``
-    from ``ker M[E', O]`` and ``x_E = M[E, O] x_O / s``. Vertices of H
-    absent from the result have coordinate 0."""
-    odd = [gamma for gamma in H.vertices() if gamma.bit_count() & 1]
-    inside, outside = _even_rows(M, H, odd)
-    x_odd = _float_kernel_vector([outside[b] for b in sorted(outside)], len(odd))
-    coords = dict(zip(odd, x_odd))
-    for beta, row in inside.items():
-        coords[beta] = sum(val * x_odd[j] for j, val in row.items()) / s
-    return coords
-
-
 def _max_coordinate(pairs: Iterable[Tuple[int, Scalar]]) -> Optional[Tuple[int, Scalar]]:
     """The first (vertex, value) pair of largest magnitude; None if empty."""
     best = best_abs = None
@@ -281,20 +272,14 @@ def _max_coordinate(pairs: Iterable[Tuple[int, Scalar]]) -> Optional[Tuple[int, 
     return best
 
 
-def _normalize_max_coordinate(values: List[Scalar]) -> List[Scalar]:
-    """Scale so the max-magnitude coordinate (first, i.e. smallest column,
-    on ties) becomes exactly +1."""
-    best = _max_coordinate(enumerate(values))
-    if best is None or best[1] == 0:
-        raise InvariantViolation("kernel vector is zero")
-    return [val / best[1] for val in values]
-
-
 def positive_eigenvector_in_span(
     w: WeightConfig, H: InducedSubgraph, mode: Optional[ScalarMode] = None
 ) -> Multivector:
     """A nonzero ``omega`` supported on H with ``A omega = s omega``,
-    normalized so its max-magnitude coordinate is +1.
+    normalized so its max-magnitude coordinate is +1: beta is the first
+    vertex of largest ``|x_gamma|``, compared squared as
+    ``y_gamma^2 lambda(v)`` on odd and ``y_gamma^2`` on even vertices, and
+    ``omega = p + s q`` with ``p_beta = 1``.
 
     The restricted kernel is guaranteed nonzero by dimension counting
     whenever H is large; failure to find one is a bug, not an input error.
@@ -307,49 +292,59 @@ def positive_eigenvector_in_span(
         _check_float_solve_size(H)
     columns = list(H.vertices())
     M = build_matrix(w, mode)
-    s = w.eigenvalue(mode)
     if mode.is_exact:
-        # x_O = s y_O, x_E = y_E: row beta reads M[beta, O] y_O - y_beta = 0
+        # row beta reads M[beta, O] y_O - y_beta = 0
         inside, outside = _even_rows(M, H, columns)
         for j, gamma in enumerate(columns):
             if not gamma.bit_count() & 1:
                 inside.setdefault(gamma, {})[j] = -1
         rows = {**outside, **inside}
-        y = _first_kernel_vector([rows[b] for b in sorted(rows)], len(columns))
-        if y is None:
+        solution = _first_kernel_vector([rows[b] for b in sorted(rows)], len(columns))
+        if solution is None:
             raise InvariantViolation(
                 "no kernel vector in span(H) although |H| > 2^(n-1)"
             )
-        kernel = [
-            s * val if gamma.bit_count() & 1 and val else val
-            for gamma, val in zip(columns, y)
-        ]
+        y = dict(zip(columns, solution))
     else:
-        coords = _float_parity_kernel(M, s, H)
-        kernel = [coords.get(gamma, 0.0) for gamma in columns]
-    kernel = _normalize_max_coordinate(kernel)
-    omega = Multivector(H.n, dict(zip(columns, kernel)))
-    _verify_eigenvector(w, H, omega, s, mode)
-    return omega
+        odd = [gamma for gamma in columns if gamma.bit_count() & 1]
+        inside, outside = _even_rows(M, H, odd)
+        y_odd = _float_kernel_vector([outside[b] for b in sorted(outside)], len(odd))
+        y = dict(zip(odd, y_odd))
+        for beta, row in inside.items():
+            y[beta] = sum(val * y_odd[j] for j, val in row.items())
+    lam = mode.convert(w.pairing)
+    keys = ((g, y[g] * y[g] * (lam if g.bit_count() & 1 else 1)) for g in sorted(y))
+    best = _max_coordinate(keys)
+    if best is None or best[1] == 0:
+        raise InvariantViolation("kernel vector is zero")
+    beta = best[0]
+    parity = beta.bit_count() & 1
+    pivot = y[beta]
+    q_pivot = pivot * lam if parity else pivot
+    p = Multivector(H.n, {g: v / pivot for g, v in y.items() if g.bit_count() & 1 == parity})
+    q = Multivector(H.n, {g: v / q_pivot for g, v in y.items() if g.bit_count() & 1 != parity})
+    _certify_eigenpair(w, H, p, q, mode)
+    return p + q.scaled(w.eigenvalue(mode))
 
 
-def _verify_eigenvector(
-    w: WeightConfig,
-    H: InducedSubgraph,
-    omega: Multivector,
-    s: Scalar,
-    mode: ScalarMode,
+def _certify_eigenpair(
+    w: WeightConfig, H: InducedSubgraph, p: Multivector, q: Multivector, mode: ScalarMode
 ) -> None:
-    if any(beta not in H for beta in omega.support()):
+    """Raise unless p and q live on H, ``A q = p`` and ``A p = lambda(v) q``
+    through the exterior path: exactly in exact mode, within ``tol`` of
+    each target in float mode."""
+    if any(beta not in H for beta in p.support() + q.support()):
         raise InvariantViolation("eigenvector support escapes H")
-    residual = apply_A(w, omega, mode) - omega.scaled(s)
-    if mode.is_exact:
-        if not residual.is_zero:
-            raise InvariantViolation("exact eigenvector residual is nonzero")
-    elif residual.sup_norm_float() > mode.tol * max(1.0, omega.sup_norm_float()):
-        raise NumericalRankError(
-            "float eigenvector residual exceeds tolerance; rerun in exact mode"
-        )
+    lam = mode.convert(w.pairing)
+    for image, target in ((apply_A(w, q, mode), p), (apply_A(w, p, mode), q.scaled(lam))):
+        residual = image - target
+        if mode.is_exact:
+            if not residual.is_zero:
+                raise InvariantViolation("exact eigenvector residual is nonzero")
+        elif not mode.within(residual.sup_norm_float(), target.sup_norm_float()):
+            raise NumericalRankError(
+                "float eigenvector residual exceeds tolerance; rerun in exact mode"
+            )
 
 
 def extract_witness(

@@ -21,10 +21,12 @@ from cubesense import (
     WeightConfig,
     build_matrix,
 )
+from cubesense.exterior import Scalar
 from cubesense.witness import (
+    InvariantViolation,
     NumericalRankError,
     _first_kernel_vector,
-    _normalize_max_coordinate,
+    _max_coordinate,
     _restricted_rows,
 )
 
@@ -172,6 +174,15 @@ def charpoly(matrix: Sequence[Sequence]) -> List[Fraction]:
         return total
 
     return det(list(range(size)), list(range(size)))
+
+
+def _normalize_max_coordinate(values: List[Scalar]) -> List[Scalar]:
+    """Scale so the max-magnitude coordinate (first, i.e. smallest column,
+    on ties) becomes exactly +1."""
+    best = _max_coordinate(enumerate(values))
+    if best is None or best[1] == 0:
+        raise InvariantViolation("kernel vector is zero")
+    return [val / best[1] for val in values]
 
 
 def oracle_quadratic_eigenvector(w: WeightConfig, H: InducedSubgraph) -> Multivector:

@@ -10,7 +10,8 @@ Core claims:
       random plans, below and above half the cube
     - block and shard boundaries change nothing, ties across them included
     - the seeded draw equals the plain Floyd loop, and each shard streams
-      its subsets from the plan from any start rank
+      its subsets from the plan from any start rank, building no mask for
+      the draws before its start
 """
 
 import concurrent.futures
@@ -205,6 +206,23 @@ def test_plan_masks_from_any_start():
             assert list(exhaustive._plan_masks(plan, start)) == stream[start:], (plan, start)
         if isinstance(plan.strategy, RandomSample):
             assert random_masks(plan) == stream
+
+
+@pytest.mark.parametrize("start, stop", [(0, 7), (13, 20), (49, 50)])
+def test_shard_builds_only_its_own_draws(monkeypatch, start, stop):
+    # the draws before a shard's start make their randrange calls, no masks
+    calls = []
+
+    def counted(rng, universe, size):
+        calls.append(size)
+        return sample_mask(rng, universe, size)
+
+    monkeypatch.setattr(exhaustive, "sample_mask", counted)
+    plan = EnumerationPlan(4, 9, RandomSample(50, 3))
+    result = exhaustive._scan_shard((plan, start, stop))
+    assert len(calls) == stop - start
+    expected = oracle_scan(4, oracle_random_masks(4, 9, 50, 3)[start:stop])
+    assert (result.checked, dict(result.histogram)) == (stop - start, expected["histogram"])
 
 
 @pytest.mark.parametrize("shards", [1, 3])

@@ -9,9 +9,16 @@ Core claims:
       and Q(sqrt(d)) folds to d = 1
     - both also hold where the even-row system degenerates: the full cube,
       E' empty, and E a single vertex
+    - normalization and the certificate run no Q(sqrt(d)) arithmetic: an
+      exact eigenvector at n = 6 costs no division or addition there, and
+      at most one multiplication (by s) per irrational coordinate
+    - each identity of the certificate is load-bearing: pairs that break
+      one of ``A q = p`` and ``A p = lambda(v) q``, or drop the lambda(v)
+      factor, are refused in both modes
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,12 +27,18 @@ from hypothesis import strategies as st
 
 from cubesense import (
     InducedSubgraph,
+    InvariantViolation,
+    Multivector,
+    NumericalRankError,
+    QuadraticScalar,
     ScalarMode,
     WeightConfig,
+    apply_A,
     positive_eigenvector_in_span,
 )
 from cubesense.exhaustive import sample_mask
 from cubesense.scalars import format_exact
+from cubesense.witness import _certify_eigenpair
 
 from helpers import edge_subgraphs, oracle_quadratic_eigenvector, random_weights
 
@@ -86,3 +99,75 @@ def weights_and_subgraph(draw):
 @given(weights_and_subgraph())
 def test_matches_direct_elimination_generated(case):
     assert_matches_oracle(*case)
+
+
+# -- no Q(sqrt(d)) arithmetic outside the final sum ----------------------------
+
+QS_OPERATIONS = {
+    "mul": ("__mul__", "__rmul__"),
+    "div": ("__truediv__", "__rtruediv__", "inverse"),
+    "addsub": ("__add__", "__radd__", "__sub__", "__rsub__"),
+}
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_exact_eigenvector_runs_no_quadratic_arithmetic(monkeypatch, ratio):
+    counts = Counter()
+    for kind, names in QS_OPERATIONS.items():
+        for name in names:
+            def counted(*args, _op=vars(QuadraticScalar)[name], _kind=kind):
+                counts[_kind] += 1
+                return _op(*args)
+
+            monkeypatch.setattr(QuadraticScalar, name, counted)
+    rng = random.Random(6)
+    w = WeightConfig.from_ratio(6, ratio)
+    sizes = (33, 33, 40, 48, 64)
+    for H in [InducedSubgraph(6, sample_mask(rng, 64, k)) for k in sizes] + edge_subgraphs(6):
+        counts.clear()
+        omega = positive_eigenvector_in_span(w, H, ScalarMode.exact())
+        # s = sqrt(6): the irrational coordinates are exactly q's, scaled by s
+        irrational = sum(
+            isinstance(c, QuadraticScalar) and not c.is_rational for _, c in omega.items()
+        )
+        assert counts["div"] == 0 and counts["addsub"] == 0, (H.members, counts)
+        assert counts["mul"] <= irrational, (H.members, counts)
+
+
+# -- the certificate ----------------------------------------------------------------
+
+LOPSIDED = 1000  # lambda = 1000, v = 1/1000
+
+
+def holds(mode, image, target):
+    return mode.within((image - target).sup_norm_float(), target.sup_norm_float())
+
+
+@pytest.mark.parametrize("mode", [ScalarMode.exact(), ScalarMode.floating()], ids=["exact", "float"])
+def test_certificate_identities_are_load_bearing(mode):
+    """The second identity's residual is A applied to the first's (A^2 is
+    lambda(v)), so exactly they fail together. Within a tolerance they need
+    not: these weights make A stretch the empty-set form by 1000 and shrink
+    the top form by 1000, so a perturbation of p at 00 breaks only
+    ``A p = lambda(v) q`` and a larger one at 11 only ``A q = p``."""
+    w = WeightConfig(2, (LOPSIDED,) * 2, (Fraction(1, LOPSIDED),) * 2)
+    lam = mode.convert(w.pairing)  # 2
+    H = InducedSubgraph(2, 0b1111)
+    q = Multivector(2, {0b01: mode.convert(1), 0b10: mode.convert(1)})
+    p = apply_A(w, q, mode)  # 2/1000 at 00: A(e_01 + e_10) cancels at 11
+    _certify_eigenpair(w, H, p, q, mode)
+    small, large = mode.convert(Fraction(1, 2 * 10**9)), mode.convert(Fraction(1, 10**8))
+    only_first = (p + Multivector(2, {0b00: small}), q)
+    only_second = (p + Multivector(2, {0b11: large}), q)
+    lam_dropped = (p, q.scaled(lam))
+    if not mode.is_exact:  # the pairs are one-sided as named
+        for (p_bad, q_bad), first, second in (
+            (only_first, True, False),
+            (only_second, False, True),
+        ):
+            assert holds(mode, apply_A(w, q_bad, mode), p_bad) is first
+            assert holds(mode, apply_A(w, p_bad, mode), q_bad.scaled(lam)) is second
+    error = InvariantViolation if mode.is_exact else NumericalRankError
+    for p_bad, q_bad in (only_first, only_second, lam_dropped):
+        with pytest.raises(error):
+            _certify_eigenpair(w, H, p_bad, q_bad, mode)
