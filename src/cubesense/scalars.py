@@ -5,6 +5,13 @@ Rationals are stdlib ``fractions.Fraction`` (arbitrary precision, canonical
 ``x + y*sqrt(d)`` with rational ``x, y`` and squarefree ``d >= 1``.  One
 radicand per computation suffices because all irrationality enters through
 the one eigenvalue ``sqrt(lambda(v))``.
+
+A ``QuadraticScalar`` is stored over a common denominator as the integer
+triple ``(a, b, c)`` with ``x = a/c`` and ``y = b/c``, kept canonical:
+``c > 0``, ``gcd(a, b, c) == 1``, and ``b == 0`` exactly when ``d == 1``.
+Arithmetic works on the triples with integer products and one gcd per
+result; Fractions are built only at the API edge (``x``, ``y``,
+``rational_value``, ``repr``, ``str``).
 """
 
 from __future__ import annotations
@@ -84,15 +91,17 @@ def sqrt_decompose(q: RationalLike) -> tuple[Fraction, int]:
 
 
 class QuadraticScalar:
-    """An element ``x + y*sqrt(d)`` of Q(sqrt(d)).
+    """An element ``(a + b*sqrt(d)) / c`` of Q(sqrt(d)), held as four ints.
 
-    ``d`` is squarefree and >= 1; for ``d == 1`` the irrational part is
-    folded into ``x`` so the representation is unique and equality is
-    componentwise. Ordering and signs are decided by exact rational
-    comparisons, never floating point.
+    The triple is canonical: ``c > 0``, ``gcd(a, b, c) == 1``, and
+    ``b == 0`` exactly when ``d == 1`` (for ``d == 1`` the irrational part
+    folds into ``a``), so equality compares the triples and the radicand.
+    ``d`` is squarefree and >= 1. ``x = a/c`` and ``y = b/c`` are built as
+    Fractions only when asked for. Ordering and signs are decided by exact
+    integer comparisons, never floating point.
     """
 
-    __slots__ = ("_x", "_y", "_d")
+    __slots__ = ("_a", "_b", "_c", "_d")
 
     def __init__(self, x: RationalLike, y: RationalLike = 0, d: int = 1) -> None:
         x, y = Fraction(x), Fraction(y)
@@ -100,17 +109,18 @@ class QuadraticScalar:
             raise ValueError(f"radicand must be >= 1, got {d}")
         if d == 1:
             x, y = x + y, Fraction(0)
-        elif y == 0:
-            d = 1
-        self._x, self._y, self._d = x, y, d
+        # over the least common denominator gcd(a, b, c) is already 1
+        c = math.lcm(x.denominator, y.denominator)
+        a, b = x.numerator * (c // x.denominator), y.numerator * (c // y.denominator)
+        self._a, self._b, self._c, self._d = a, b, c, d if b else 1
 
     @property
     def x(self) -> Fraction:
-        return self._x
+        return Fraction(self._a, self._c)
 
     @property
     def y(self) -> Fraction:
-        return self._y
+        return Fraction(self._b, self._c)
 
     @property
     def d(self) -> int:
@@ -123,36 +133,32 @@ class QuadraticScalar:
 
     @property
     def is_rational(self) -> bool:
-        return self._y == 0
+        return not self._b
 
     @property
     def rational_value(self) -> Fraction:
-        if self._y != 0:
+        if self._b:
             raise ValueError(f"{self} is irrational")
-        return self._x
+        return Fraction(self._a, self._c)
 
     def _coerce(self, other: object) -> "QuadraticScalar | None":
         """Bring ``other`` into this value's field, or None if impossible."""
         if isinstance(other, QuadraticScalar):
-            if other._d == self._d or other._y == 0:
-                return other
-            if self._y == 0:
-                return other  # we are rational; adopt the other radicand
-            raise ValueError(f"mixed radicands sqrt({self._d}) and sqrt({other._d})")
-        if isinstance(other, (int, Fraction)):
-            return QuadraticScalar(other)
+            if self._b and other._b and other._d != self._d:
+                raise ValueError(f"mixed radicands sqrt({self._d}) and sqrt({other._d})")
+            return other
+        if isinstance(other, int):
+            return _reduced(other, 0, 1, 1)
+        if isinstance(other, Fraction):
+            return _reduced(other.numerator, 0, other.denominator, 1)
         return None
-
-    def _parts(self, other: "QuadraticScalar") -> tuple[Fraction, Fraction, int]:
-        d = self._d if self._y != 0 else other._d
-        return other._x, other._y, d
 
     def __add__(self, other: object) -> "QuadraticScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ox, oy, d = self._parts(o)
-        return QuadraticScalar(self._x + ox, self._y + oy, d)
+        c1, c2, d = self._c, o._c, self._d if self._b else o._d
+        return _reduced(self._a * c2 + o._a * c1, self._b * c2 + o._b * c1, c1 * c2, d)
 
     __radd__ = __add__
 
@@ -160,41 +166,40 @@ class QuadraticScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ox, oy, d = self._parts(o)
-        return QuadraticScalar(self._x - ox, self._y - oy, d)
+        c1, c2, d = self._c, o._c, self._d if self._b else o._d
+        return _reduced(self._a * c2 - o._a * c1, self._b * c2 - o._b * c1, c1 * c2, d)
 
     def __rsub__(self, other: object) -> "QuadraticScalar":
         return (-self) + other
 
     def __neg__(self) -> "QuadraticScalar":
-        return QuadraticScalar(-self._x, -self._y, self._d)
+        return _reduced(-self._a, -self._b, self._c, self._d)
 
     def __mul__(self, other: object) -> "QuadraticScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ox, oy, d = self._parts(o)
-        return QuadraticScalar(
-            self._x * ox + d * self._y * oy,
-            self._x * oy + self._y * ox,
-            d,
-        )
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        d = self._d if b1 else o._d
+        return _reduced(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, self._c * o._c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticScalar":
-        # (x + y*sqrt(d))^-1 = (x - y*sqrt(d)) / (x^2 - d*y^2)
-        norm = self._x * self._x - self._d * self._y * self._y
+        # c / (a + b*sqrt(d)) = c*(a - b*sqrt(d)) / (a^2 - d*b^2)
+        a, b, c = self._a, self._b, self._c
+        norm = a * a - self._d * b * b
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadraticScalar(self._x / norm, -self._y / norm, self._d)
+        if norm < 0:  # the sign moves into the numerator: the denominator stays > 0
+            c, norm = -c, -norm
+        return _reduced(c * a, -c * b, norm, self._d)
 
     def __truediv__(self, other: object) -> "QuadraticScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ox, oy, d = self._parts(o)
-        return self * QuadraticScalar(ox, oy, d).inverse()
+        return self * o.inverse()
 
     def __rtruediv__(self, other: object) -> "QuadraticScalar":
         o = self._coerce(other)
@@ -205,7 +210,7 @@ class QuadraticScalar:
     def __pow__(self, exponent: int) -> "QuadraticScalar":
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        out = QuadraticScalar(1)
+        out = _reduced(1, 0, 1, 1)
         base = self
         e = exponent
         while e:
@@ -216,37 +221,34 @@ class QuadraticScalar:
         return out
 
     def sign(self) -> int:
-        """Exact sign of ``x + y*sqrt(d)`` in {-1, 0, 1} by rational comparison."""
-        x, y = self._x, self._y
-        if y == 0:
-            return (x > 0) - (x < 0)
-        if x == 0:
-            return 1 if y > 0 else -1
-        if x > 0 and y > 0:
-            return 1
-        if x < 0 and y < 0:
-            return -1
-        # opposite strict signs: compare x^2 against d*y^2
-        square_cmp = (x * x > self._d * y * y) - (x * x < self._d * y * y)
-        return square_cmp if x > 0 else -square_cmp
+        """Exact sign of ``(a + b*sqrt(d)) / c`` in {-1, 0, 1}; ``c > 0`` drops out."""
+        a, b = self._a, self._b
+        if not b:
+            return (a > 0) - (a < 0)
+        if not a:
+            return 1 if b > 0 else -1
+        if (a > 0) == (b > 0):
+            return 1 if a > 0 else -1
+        # opposite strict signs: compare a^2 against d*b^2
+        a2, db2 = a * a, self._d * b * b
+        square_cmp = (a2 > db2) - (a2 < db2)
+        return square_cmp if a > 0 else -square_cmp
 
     def __bool__(self) -> bool:
-        return self._x != 0 or self._y != 0
+        return self._a != 0 or self._b != 0
 
     def __abs__(self) -> "QuadraticScalar":
         return self if self.sign() >= 0 else -self
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, float):
-            return NotImplemented
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        ox, oy, _ = self._parts(o)
-        return self._x == ox and self._y == oy
+        # canonical triples: equal values have equal (a, b, c, d)
+        if isinstance(other, QuadraticScalar):
+            return (self._a, self._b, self._c, self._d) == (other._a, other._b, other._c, other._d)
+        if isinstance(other, int):
+            return not self._b and self._c == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return not self._b and self._a == other.numerator and self._c == other.denominator
+        return NotImplemented
 
     def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -273,18 +275,29 @@ class QuadraticScalar:
         return (self - o).sign() >= 0
 
     def __hash__(self) -> int:
-        if self._y == 0:
-            return hash(self._x)
-        return hash((self._x, self._y, self._d))
+        if not self._b:
+            return hash(Fraction(self._a, self._c))
+        return hash((self.x, self.y, self._d))
 
     def __float__(self) -> float:
-        return float(self._x) + float(self._y) * math.sqrt(self._d)
+        # a / c is float(Fraction(a, c)): int true division rounds correctly
+        return self._a / self._c + self._b / self._c * math.sqrt(self._d)
 
     def __repr__(self) -> str:
-        return f"QuadraticScalar({self._x!r}, {self._y!r}, d={self._d})"
+        return f"QuadraticScalar({self.x!r}, {self.y!r}, d={self._d})"
 
     def __str__(self) -> str:
         return format_exact(self)
+
+
+def _reduced(a: int, b: int, c: int, d: int) -> QuadraticScalar:
+    """``(a + b*sqrt(d)) / c`` for ``c > 0`` in canonical form: every arithmetic result."""
+    g = math.gcd(a, b, c)
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    out = object.__new__(QuadraticScalar)
+    out._a, out._b, out._c, out._d = a, b, c, d if b else 1
+    return out
 
 
 def exact_sign(value: ScalarLike) -> int:

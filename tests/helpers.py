@@ -22,6 +22,7 @@ from cubesense import (
     build_matrix,
 )
 from cubesense.exterior import Scalar
+from cubesense.scalars import RationalLike, format_rational, sqrt_decompose
 from cubesense.witness import (
     InvariantViolation,
     NumericalRankError,
@@ -45,6 +46,218 @@ def oracle_sqrt_decompose(q: Fraction) -> Tuple[Fraction, int]:
     m = q.numerator * q.denominator
     r, d = oracle_squarefree(m)
     return Fraction(r, q.denominator), d
+
+
+class OracleQuadraticScalar:
+    """An element ``x + y*sqrt(d)`` of Q(sqrt(d)), held as two Fractions.
+
+    This is the Fraction-pair ``QuadraticScalar`` that the integer-triple
+    one replaced, kept unchanged except for its name and ``__str__`` (the
+    Q(sqrt(d)) branch of ``format_exact``) as the differential-test oracle.
+
+    ``d`` is squarefree and >= 1; for ``d == 1`` the irrational part is
+    folded into ``x`` so the representation is unique and equality is
+    componentwise. Ordering and signs are decided by exact rational
+    comparisons, never floating point.
+    """
+
+    __slots__ = ("_x", "_y", "_d")
+
+    def __init__(self, x: RationalLike, y: RationalLike = 0, d: int = 1) -> None:
+        x, y = Fraction(x), Fraction(y)
+        if d < 1:
+            raise ValueError(f"radicand must be >= 1, got {d}")
+        if d == 1:
+            x, y = x + y, Fraction(0)
+        elif y == 0:
+            d = 1
+        self._x, self._y, self._d = x, y, d
+
+    @property
+    def x(self) -> Fraction:
+        return self._x
+
+    @property
+    def y(self) -> Fraction:
+        return self._y
+
+    @property
+    def d(self) -> int:
+        return self._d
+
+    @classmethod
+    def sqrt_of(cls, q: RationalLike) -> "OracleQuadraticScalar":
+        r, d = sqrt_decompose(q)
+        return cls(0, r, d)
+
+    @property
+    def is_rational(self) -> bool:
+        return self._y == 0
+
+    @property
+    def rational_value(self) -> Fraction:
+        if self._y != 0:
+            raise ValueError(f"{self} is irrational")
+        return self._x
+
+    def _coerce(self, other: object) -> "OracleQuadraticScalar | None":
+        """Bring ``other`` into this value's field, or None if impossible."""
+        if isinstance(other, OracleQuadraticScalar):
+            if other._d == self._d or other._y == 0:
+                return other
+            if self._y == 0:
+                return other  # we are rational; adopt the other radicand
+            raise ValueError(f"mixed radicands sqrt({self._d}) and sqrt({other._d})")
+        if isinstance(other, (int, Fraction)):
+            return OracleQuadraticScalar(other)
+        return None
+
+    def _parts(self, other: "OracleQuadraticScalar") -> tuple[Fraction, Fraction, int]:
+        d = self._d if self._y != 0 else other._d
+        return other._x, other._y, d
+
+    def __add__(self, other: object) -> "OracleQuadraticScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        ox, oy, d = self._parts(o)
+        return OracleQuadraticScalar(self._x + ox, self._y + oy, d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "OracleQuadraticScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        ox, oy, d = self._parts(o)
+        return OracleQuadraticScalar(self._x - ox, self._y - oy, d)
+
+    def __rsub__(self, other: object) -> "OracleQuadraticScalar":
+        return (-self) + other
+
+    def __neg__(self) -> "OracleQuadraticScalar":
+        return OracleQuadraticScalar(-self._x, -self._y, self._d)
+
+    def __mul__(self, other: object) -> "OracleQuadraticScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        ox, oy, d = self._parts(o)
+        return OracleQuadraticScalar(
+            self._x * ox + d * self._y * oy,
+            self._x * oy + self._y * ox,
+            d,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "OracleQuadraticScalar":
+        # (x + y*sqrt(d))^-1 = (x - y*sqrt(d)) / (x^2 - d*y^2)
+        norm = self._x * self._x - self._d * self._y * self._y
+        if norm == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+        return OracleQuadraticScalar(self._x / norm, -self._y / norm, self._d)
+
+    def __truediv__(self, other: object) -> "OracleQuadraticScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        ox, oy, d = self._parts(o)
+        return self * OracleQuadraticScalar(ox, oy, d).inverse()
+
+    def __rtruediv__(self, other: object) -> "OracleQuadraticScalar":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, exponent: int) -> "OracleQuadraticScalar":
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        out = OracleQuadraticScalar(1)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def sign(self) -> int:
+        """Exact sign of ``x + y*sqrt(d)`` in {-1, 0, 1} by rational comparison."""
+        x, y = self._x, self._y
+        if y == 0:
+            return (x > 0) - (x < 0)
+        if x == 0:
+            return 1 if y > 0 else -1
+        if x > 0 and y > 0:
+            return 1
+        if x < 0 and y < 0:
+            return -1
+        # opposite strict signs: compare x^2 against d*y^2
+        square_cmp = (x * x > self._d * y * y) - (x * x < self._d * y * y)
+        return square_cmp if x > 0 else -square_cmp
+
+    def __bool__(self) -> bool:
+        return self._x != 0 or self._y != 0
+
+    def __abs__(self) -> "OracleQuadraticScalar":
+        return self if self.sign() >= 0 else -self
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, float):
+            return NotImplemented
+        try:
+            o = self._coerce(other)
+        except ValueError:
+            return False
+        if o is None:
+            return NotImplemented
+        ox, oy, _ = self._parts(o)
+        return self._x == ox and self._y == oy
+
+    def __lt__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() < 0
+
+    def __le__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() <= 0
+
+    def __gt__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() > 0
+
+    def __ge__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() >= 0
+
+    def __hash__(self) -> int:
+        if self._y == 0:
+            return hash(self._x)
+        return hash((self._x, self._y, self._d))
+
+    def __float__(self) -> float:
+        return float(self._x) + float(self._y) * math.sqrt(self._d)
+
+    def __repr__(self) -> str:
+        return f"OracleQuadraticScalar({self._x!r}, {self._y!r}, d={self._d})"
+
+    def __str__(self) -> str:
+        # format_exact's Q(sqrt(d)) branch
+        if self.is_rational:
+            return format_rational(self.x)
+        sep = "-" if self.y < 0 else "+"
+        return f"{format_rational(self.x)}{sep}{format_rational(abs(self.y))}*sqrt({self.d})"
 
 
 # -- combinatorial oracles ----------------------------------------------------
