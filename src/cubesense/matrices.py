@@ -15,6 +15,7 @@ equal dimension ``2^(n-1)``, realized here by the matrix-free projectors
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,7 +80,7 @@ class SignedCubeMatrix:
             acc = None
             for b in range(self.n):
                 col = row ^ (1 << b)
-                term = coeff(col, b) * vec[col]
+                term = vec[col] * coeff(col, b)
                 acc = term if acc is None else acc + term
             out.append(acc)
         return out
@@ -94,15 +95,16 @@ def build_matrix(w: WeightConfig, mode: ScalarMode | None = None) -> SignedCubeM
 
     The sign of the entry at flipped bit ``b`` of column ``gamma`` is the
     parity of ``gamma``'s set bits below ``b``; the magnitude is ``v`` when
-    the column loses the bit and ``lambda`` when it gains it.
+    the column loses the bit and ``lambda`` when it gains it. The entries
+    are read from a table built once, indexed ``[parity][bit set][b]``, so
+    a negative entry is not negated again on every call.
     """
     mode = mode or ScalarMode.exact()
-    lam = w.lam_in(mode)
-    v = w.v_in(mode)
+    lam, v = w.lam_in(mode), w.v_in(mode)
+    table = ((lam, v), (tuple(-x for x in lam), tuple(-x for x in v)))
 
     def coeff(gamma: int, b: int) -> Scalar:
-        mag = v[b] if gamma >> b & 1 else lam[b]
-        return -mag if (gamma & ((1 << b) - 1)).bit_count() & 1 else mag
+        return table[(gamma & ((1 << b) - 1)).bit_count() & 1][gamma >> b & 1][b]
 
     return SignedCubeMatrix(w.n, coeff)
 
@@ -131,21 +133,32 @@ class SquareIdentityReport:
 def verify_square_identity(
     M: SignedCubeMatrix, w: WeightConfig, mode: ScalarMode | None = None
 ) -> SquareIdentityReport:
-    """Check ``M^2 = lambda(v) I`` column by column through sparse composition."""
+    """Check ``M^2 = lambda(v) I`` column by column through sparse composition:
+    in exact mode of the integer matrix ``den * M`` for the M given, ``den``
+    the lcm of its entries' denominators, against ``lambda(v) * den^2``."""
     mode = mode or ScalarMode.exact()
     expected = mode.convert(w.pairing)
     scale = float(expected)
+    column, target, den2 = M.column, expected, 1
+    if mode.is_exact:
+        entries = [M.column(gamma) for gamma in range(M.size)]
+        den = math.lcm(*(val.denominator for col in entries for _, val in col))
+        scaled = [[(row, val.numerator * (den // val.denominator)) for row, val in col]
+                  for col in entries]
+        column, den2, target = scaled.__getitem__, den * den, expected * den * den
     worst = 0.0
     ok = True
     for gamma in range(M.size):
         acc: dict = {}
-        for mid, val in M.column(gamma):
-            for row, val2 in M.column(mid):
+        for mid, val in column(gamma):
+            for row, val2 in column(mid):
                 acc[row] = acc.get(row, 0) + val2 * val
-        acc[gamma] = acc.get(gamma, 0) - expected
+        acc[gamma] = acc.get(gamma, 0) - target
         for dev in acc.values():
-            worst = max(worst, abs(float(dev)))
-            ok = ok and mode.within(dev, scale)
+            if dev:
+                dev = Fraction(dev, den2) if mode.is_exact else dev
+                worst = max(worst, abs(float(dev)))
+                ok = ok and mode.within(dev, scale)
     return SquareIdentityReport(expected=expected, max_deviation=worst, ok=ok)
 
 
@@ -178,8 +191,8 @@ class EigenSplit:
         """``P_+- vec = (vec +- image / s) / 2`` for the eigen image ``M vec``."""
         half, s_inv = self._half, self._s_inv
         if sign > 0:
-            return [half * (x + s_inv * y) for x, y in zip(vec, image)]
-        return [half * (x - s_inv * y) for x, y in zip(vec, image)]
+            return [(s_inv * y + x) * half for x, y in zip(vec, image)]
+        return [(x - s_inv * y) * half for x, y in zip(vec, image)]
 
     def multiplicities(self, trace: Scalar) -> Tuple[Scalar, Scalar]:
         """trace(P_+-) = (2^n +- trace(M)/s) / 2."""
@@ -241,8 +254,9 @@ def spectral_report(
             for a, b, c, d in zip(once, twice, eigen_image, s_once):
                 # A P_+- = +-s P_+- alongside idempotency
                 for dev in (a - b, c - d if sign > 0 else c + d):
-                    worst = max(worst, abs(float(dev)))
-                    ok = ok and mode.within(dev, scale)
+                    if dev:
+                        worst = max(worst, abs(float(dev)))
+                        ok = ok and mode.within(dev, scale)
     return SpectralReport(
         n=M.n,
         eigenvalue=split.s,

@@ -10,8 +10,10 @@ A ``QuadraticScalar`` is stored over a common denominator as the integer
 triple ``(a, b, c)`` with ``x = a/c`` and ``y = b/c``, kept canonical:
 ``c > 0``, ``gcd(a, b, c) == 1``, and ``b == 0`` exactly when ``d == 1``.
 Arithmetic works on the triples with integer products and one gcd per
-result; Fractions are built only at the API edge (``x``, ``y``,
-``rational_value``, ``repr``, ``str``).
+result. An int or Fraction operand is read in place as the integer parts
+``(num, 0, den, 1)`` and never wrapped in a QuadraticScalar. Fractions are
+built only at the API edge (``x``, ``y``, ``rational_value``, ``repr``,
+``str``).
 """
 
 from __future__ import annotations
@@ -141,33 +143,35 @@ class QuadraticScalar:
             raise ValueError(f"{self} is irrational")
         return Fraction(self._a, self._c)
 
-    def _coerce(self, other: object) -> "QuadraticScalar | None":
-        """Bring ``other`` into this value's field, or None if impossible."""
+    def _parts(self, other: object) -> "tuple[int, int, int, int] | None":
+        """``other`` as integer parts ``(a, b, c, d)`` in this value's field, or None."""
         if isinstance(other, QuadraticScalar):
             if self._b and other._b and other._d != self._d:
                 raise ValueError(f"mixed radicands sqrt({self._d}) and sqrt({other._d})")
-            return other
-        if isinstance(other, int):
-            return _reduced(other, 0, 1, 1)
+            return other._a, other._b, other._c, other._d
         if isinstance(other, Fraction):
-            return _reduced(other.numerator, 0, other.denominator, 1)
+            return other.numerator, 0, other.denominator, 1
+        if isinstance(other, int):
+            return other, 0, 1, 1
         return None
 
     def __add__(self, other: object) -> "QuadraticScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        c1, c2, d = self._c, o._c, self._d if self._b else o._d
-        return _reduced(self._a * c2 + o._a * c1, self._b * c2 + o._b * c1, c1 * c2, d)
+        a, b, c, d = o
+        a1, b1, c1 = self._a, self._b, self._c
+        return _reduced(a1 * c + a * c1, b1 * c + b * c1, c1 * c, self._d if b1 else d)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadraticScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        c1, c2, d = self._c, o._c, self._d if self._b else o._d
-        return _reduced(self._a * c2 - o._a * c1, self._b * c2 - o._b * c1, c1 * c2, d)
+        a, b, c, d = o
+        a1, b1, c1 = self._a, self._b, self._c
+        return _reduced(a1 * c - a * c1, b1 * c - b * c1, c1 * c, self._d if b1 else d)
 
     def __rsub__(self, other: object) -> "QuadraticScalar":
         return (-self) + other
@@ -176,12 +180,13 @@ class QuadraticScalar:
         return _reduced(-self._a, -self._b, self._c, self._d)
 
     def __mul__(self, other: object) -> "QuadraticScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
-        d = self._d if b1 else o._d
-        return _reduced(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, self._c * o._c, d)
+        a2, b2, c2, d2 = o
+        a1, b1 = self._a, self._b
+        d = self._d if b1 else d2
+        return _reduced(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, self._c * c2, d)
 
     __rmul__ = __mul__
 
@@ -196,16 +201,15 @@ class QuadraticScalar:
         return _reduced(c * a, -c * b, norm, self._d)
 
     def __truediv__(self, other: object) -> "QuadraticScalar":
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * _reduced(*o).inverse()
 
     def __rtruediv__(self, other: object) -> "QuadraticScalar":
-        o = self._coerce(other)
-        if o is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, exponent: int) -> "QuadraticScalar":
         if not isinstance(exponent, int) or exponent < 0:
@@ -251,28 +255,24 @@ class QuadraticScalar:
         return NotImplemented
 
     def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return (self - o).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return (self - o).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return (self - o).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __hash__(self) -> int:
         if not self._b:
@@ -304,6 +304,15 @@ def exact_sign(value: ScalarLike) -> int:
     if isinstance(value, QuadraticScalar):
         return value.sign()
     return (value > 0) - (value < 0)
+
+
+def magnitude_key(value: "ScalarLike | float") -> "ScalarLike | float":
+    """A key ordered like ``|value|``: a float as it is, an exact value by its
+    square, which for ``(a + b*sqrt(d)) / c`` with ``a*b == 0`` is the
+    Fraction ``(a^2 + d*b^2) / c^2``."""
+    if isinstance(value, QuadraticScalar) and not (value._a and value._b):
+        return Fraction(value._a ** 2 + value._d * value._b ** 2, value._c ** 2)
+    return value if isinstance(value, float) else value * value
 
 
 def format_exact(value: ScalarLike) -> str:

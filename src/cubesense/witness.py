@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .cube import DegreeProfile, InducedSubgraph, format_vertex
 from .exterior import Multivector, Scalar, WeightConfig, apply_A
 from .matrices import SignedCubeMatrix, build_matrix
-from .scalars import ScalarMode, exact_sign
+from .scalars import ScalarMode, exact_sign, magnitude_key
 
 EXACT_DEFAULT_LIMIT = 12  # exact elimination is the default up to this n
 FLOAT_SOLVE_MAX_BYTES = 1 << 29  # three float64 copies of M[E', O] for its QR, at most 512 MiB
@@ -372,7 +372,8 @@ def extract_witness(
     if any(beta not in H for beta in omega.support()):
         raise ValueError("eigenvector support is not contained in H")
 
-    beta, coord = _max_coordinate(omega.items())
+    beta = _max_coordinate((g, magnitude_key(c)) for g, c in omega.items())[0]
+    coord = omega.coefficient(beta)
     if exact_sign(coord) < 0:
         coord = -coord  # flip omega so the witness coordinate is positive
 

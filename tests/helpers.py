@@ -12,11 +12,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from cubesense import (
     InducedSubgraph,
     Multivector,
+    ScalarMode,
     SignedCubeMatrix,
     WeightConfig,
     build_matrix,
@@ -456,6 +457,63 @@ def oracle_rational_rows(
         diag = rows.setdefault(gamma, {})
         diag[j] = diag.get(j, 0) - 1
     return [rows[beta] for beta in sorted(rows)]
+
+
+# -- the operator path before the sign table and the operand swap --------------
+
+def oracle_entry_rule(w: WeightConfig, mode: ScalarMode) -> Callable[[int, int], Scalar]:
+    """``build_matrix``'s entry rule as it was: the magnitude is looked up
+    and negated on every call."""
+    lam = w.lam_in(mode)
+    v = w.v_in(mode)
+
+    def coeff(gamma: int, b: int) -> Scalar:
+        mag = v[b] if gamma >> b & 1 else lam[b]
+        return -mag if (gamma & ((1 << b) - 1)).bit_count() & 1 else mag
+
+    return coeff
+
+
+def oracle_apply(n: int, coeff: Callable[[int, int], Scalar], vec: Sequence[Scalar]) -> list:
+    """``SignedCubeMatrix.apply`` as it was: the entry on the left of each product."""
+    out = []
+    for row in range(1 << n):
+        acc = None
+        for b in range(n):
+            col = row ^ (1 << b)
+            term = coeff(col, b) * vec[col]
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def oracle_combine(
+    half: Scalar, s_inv: Scalar, vec: Sequence[Scalar], image: Sequence[Scalar], sign: int
+) -> list:
+    """``EigenSplit._combine`` as it was: ``half * (x +- s_inv * y)``."""
+    if sign > 0:
+        return [half * (x + s_inv * y) for x, y in zip(vec, image)]
+    return [half * (x - s_inv * y) for x, y in zip(vec, image)]
+
+
+def oracle_square_deviation(
+    M: SignedCubeMatrix, expected: Scalar, mode: ScalarMode
+) -> Tuple[float, bool]:
+    """``verify_square_identity``'s (max_deviation, ok) as it was: M's own
+    entries composed, every deviation converted and tested."""
+    scale = float(expected)
+    worst = 0.0
+    ok = True
+    for gamma in range(M.size):
+        acc: dict = {}
+        for mid, val in M.column(gamma):
+            for row, val2 in M.column(mid):
+                acc[row] = acc.get(row, 0) + val2 * val
+        acc[gamma] = acc.get(gamma, 0) - expected
+        for dev in acc.values():
+            worst = max(worst, abs(float(dev)))
+            ok = ok and mode.within(dev, scale)
+    return worst, ok
 
 
 # -- random generators ---------------------------------------------------------

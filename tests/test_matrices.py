@@ -2,7 +2,8 @@
 
 Core claims:
     - build_matrix columns equal apply_A on basis forms (two code paths)
-    - M^2 = lambda(v) I exactly, also against a dense-multiplication oracle
+    - M^2 = lambda(v) I exactly, also against a dense-multiplication oracle;
+      the check composes the matrix it is given, so a wrong one fails
     - trace is zero and the eigenvalue multiplicities are 2^(n-1) each
     - the n=2 characteristic polynomial is (t^2 - 2)^2 (cofactor oracle)
     - the recursive signing satisfies B_n^2 = n I and is switching
@@ -111,6 +112,44 @@ def test_square_identity_against_dense_oracle():
         for i in range(1 << n):
             for j in range(1 << n):
                 assert square[i][j] == (w.pairing if i == j else 0)
+
+
+def test_square_identity_composes_the_matrix_given():
+    # M built for w1 squares to lambda1 I, so against w2 the deviation is
+    # |lambda1 - lambda2| on the diagonal and zero elsewhere
+    w1 = WeightConfig(3, lam=(Fraction(1, 3), Fraction(2), Fraction(5, 7)),
+                      v=(Fraction(4, 9), Fraction(1), Fraction(3, 2)))
+    w2 = WeightConfig(3, lam=(Fraction(2, 3), Fraction(2), Fraction(5, 7)),
+                      v=(Fraction(4, 9), Fraction(1), Fraction(3, 2)))
+    assert verify_square_identity(build_matrix(w1), w1).ok
+    report = verify_square_identity(build_matrix(w1), w2)
+    assert not report.ok
+    assert report.max_deviation == float(abs(w1.pairing - w2.pairing)) == 0.14814814814814814
+    float_mode = ScalarMode.floating()
+    report = verify_square_identity(build_matrix(w1, float_mode), w2, float_mode)
+    assert not report.ok
+    assert report.max_deviation == pytest.approx(0.14814814814814814, rel=1e-12)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "non-uniform", "huang"])
+@pytest.mark.parametrize("mode", [ScalarMode.exact(), ScalarMode.floating()], ids=["exact", "float"])
+def test_square_identity_sees_one_flipped_sign(weights, mode):
+    n = 4
+    if weights == "huang":
+        w = WeightConfig.uniform(n, 1, 1)
+        base = huang_matrix(n)
+    else:
+        w = (WeightConfig.uniform(n, Fraction(2, 3), 3) if weights == "uniform"
+             else random_weights(random.Random(5), n))
+        base = build_matrix(w, mode)
+    assert verify_square_identity(base, w, mode).ok
+
+    def flipped(gamma, b):
+        value = base.entry(gamma ^ (1 << b), gamma)
+        return -value if (gamma, b) == (5, 2) else value
+
+    report = verify_square_identity(SignedCubeMatrix(n, flipped), w, mode)
+    assert not report.ok and report.max_deviation > 0
 
 
 def test_square_identity_float_mode():

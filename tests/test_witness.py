@@ -6,6 +6,8 @@ Core claims:
     - certification bound_rhs >= bound_lhs holds on every valid run; a
       failure would falsify the theorem and is treated as a build bug
     - the hand-solved n=1 and n=2 systems match frozen coordinates
+    - beta is the first vertex of largest |omega_beta|, also when a
+      coordinate mixes a rational and an irrational part
     - every kernel vector certifies, not just the canonical one
     - weighted scans at C and 1/C relate through coordinate complement
     - float mode reproduces exact answers within tolerance
@@ -35,9 +37,11 @@ from cubesense import (
     weighted_scan,
 )
 from cubesense.exhaustive import sample_mask
-from cubesense.witness import NumericalRankError, _float_kernel_vector
+from cubesense.witness import NumericalRankError, _float_kernel_vector, _max_coordinate
 
 from helpers import dense_matvec, oracle_max_degree, to_dense
+
+ROOT2 = QuadraticScalar.sqrt_of(2)
 
 
 def assert_is_eigenvector(w, omega, H):
@@ -151,6 +155,28 @@ def test_extract_witness_validates_input():
         extract_witness(WeightConfig.uniform(3, 1, 1), H, Multivector.basis(2, 0b00))
 
 
+@pytest.mark.parametrize(
+    "coords, beta",
+    [
+        # 1 + sqrt2 ~ 2.414 < 5/2, and 2 + sqrt2 ~ 3.414 > 3: x^2 + 2y^2 would
+        # give 3 < 25/4 and 6 < 9, so a mixed coordinate needs the true square
+        ({0b00: 1 + ROOT2, 0b01: Fraction(5, 2)}, 0b01),
+        ({0b00: Fraction(5, 2), 0b01: 1 + ROOT2, 0b10: 3, 0b11: 2 + ROOT2}, 0b11),
+        ({0b00: Fraction(1, 2), 0b01: 1 - ROOT2}, 0b00),
+        ({0b00: -2 * ROOT2, 0b01: Fraction(-5, 2), 0b10: 2 + ROOT2}, 0b10),
+        ({0b00: Fraction(1, 2) * ROOT2, 0b01: -1, 0b11: -Fraction(1, 2) * ROOT2}, 0b01),
+        ({0b00: 2, 0b01: -2}, 0b00),  # ties go to the first vertex
+    ],
+)
+def test_extract_witness_picks_largest_magnitude(coords, beta):
+    H = InducedSubgraph.full_cube(2)
+    omega = Multivector(2, coords)
+    assert _max_coordinate(omega.items())[0] == beta  # the abs rule it replaced
+    report = extract_witness(WeightConfig.uniform(2, 1, 1), H, omega)
+    assert report.beta == beta
+    assert report.omega_beta == abs(coords[beta])
+
+
 def test_random_runs_certify_and_verify():
     rng = random.Random(41)
     for _ in range(25):
@@ -162,6 +188,7 @@ def test_random_runs_certify_and_verify():
         assert_is_eigenvector(w, omega, H)
         report = extract_witness(w, H, omega)
         assert report.certified
+        assert report.beta == _max_coordinate(omega.items())[0]
         # witness degree never beats the combinatorial maximum
         assert report.profile.degree <= H.max_degree()[1]
 
@@ -194,6 +221,7 @@ def test_every_kernel_vector_certifies():
             continue
         report = extract_witness(w, H, omega)
         assert report.certified
+        assert report.beta == _max_coordinate(omega.items())[0]
         seen.add(report.beta)
     assert len(seen) > 1  # genuinely different kernel vectors were certified
 
