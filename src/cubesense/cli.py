@@ -20,14 +20,8 @@ from . import exhaustive as exhaustive_mod
 from .cube import InducedSubgraph, check_dimension, parse_subgraph
 from .exterior import WeightConfig
 from .matrices import build_matrix, spectral_report, verify_square_identity
-from .scalars import ScalarMode, parse_rational
-from .witness import (
-    InvariantViolation,
-    NumericalRankError,
-    resolve_mode,
-    run_pipeline,
-    weighted_scan,
-)
+from .scalars import ScalarMode, parse_rational, resolve_mode
+from .witness import InvariantViolation, NumericalRankError, run_pipeline, weighted_scan
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +140,7 @@ def _cmd_verify_operator(args: argparse.Namespace) -> int:
     half = 1 << (n - 1)
     payload = {
         "n": n,
-        "mode": mode.json_name(),
+        "mode": mode.kind,
         "lambda": [mode.format(a) for a in w.lam_in(mode)],
         "v": [mode.format(b) for b in w.v_in(mode)],
         "pairing": mode.format(mode.convert(w.pairing)),
@@ -287,10 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 2
-    except NumericalRankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (NumericalRankError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

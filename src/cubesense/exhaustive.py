@@ -36,6 +36,7 @@ from .cube import (
     lane_width,
 )
 from .exterior import WeightConfig
+from .scalars import EXACT_DEFAULT_LIMIT
 from .witness import InvariantViolation, run_pipeline
 
 DEFAULT_BUDGET = 10**8
@@ -49,7 +50,7 @@ _BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes -> binary d
 
 
 class BudgetExceededError(ValueError):
-    """The exhaustive universe is larger than the configured budget."""
+    """The plan scans more subsets than the configured budget allows."""
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,9 @@ class EnumerationPlan:
             raise ValueError("shard count must be positive")
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if isinstance(self.strategy, Exhaustive) and self.universe_size > self.budget:
+        if self.total_to_scan > self.budget:
             raise BudgetExceededError(
-                f"C(2^{self.n}, {self.subset_size}) = {self.universe_size} "
-                f"exceeds the budget {self.budget}"
+                f"the plan scans {self.total_to_scan} subsets, over the budget {self.budget}"
             )
 
     @property
@@ -142,11 +142,6 @@ def _colex_from(mask: int) -> Iterator[int]:
         mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def next_combination(mask: int) -> int:
-    """The next bitmask with the same popcount, ascending."""
-    return next(islice(_colex_from(mask), 1, None))
-
-
 def unrank_combination(rank: int, k: int) -> int:
     """The rank-th (0-based) k-element bitmask in colex order.
 
@@ -161,10 +156,6 @@ def unrank_combination(rank: int, k: int) -> int:
         rank -= math.comb(c, i)
         mask |= 1 << c
     return mask
-
-
-def rank_combination(mask: int) -> int:
-    return sum(math.comb(c, i + 1) for i, c in enumerate(iter_bits(mask)))
 
 
 def sample_mask(rng: random.Random, universe: int, size: int) -> int:
@@ -392,8 +383,8 @@ def cross_check_with_witness(plan: EnumerationPlan, sample: int) -> CrossCheckRe
     by the plan's strategy, or 0 for exhaustive plans); sample == pool size
     reproduces the full cross product.
     """
-    if plan.n > 12:
-        raise ValueError("cross-check is limited to n <= 12")
+    if plan.n > EXACT_DEFAULT_LIMIT:
+        raise ValueError(f"cross-check is limited to n <= {EXACT_DEFAULT_LIMIT}")
     pool_size = plan.total_to_scan
     if not 1 <= sample <= pool_size:
         raise ValueError(f"sample must be in [1, {pool_size}]")

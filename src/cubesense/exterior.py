@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .cube import check_dimension, iter_bits
-from .scalars import PositivityError, QuadraticScalar, ScalarMode
+from .scalars import PositivityError, QuadraticScalar, ScalarMode, resolve_mode
 
 Scalar = Union[int, Fraction, QuadraticScalar, float]
 
@@ -219,8 +219,7 @@ class WeightConfig:
 
     def eigenvalue(self, mode: ScalarMode | None = None) -> "QuadraticScalar | float":
         """The positive eigenvalue ``sqrt(lambda(v))`` in the requested mode."""
-        mode = mode or ScalarMode.exact()
-        return mode.sqrt(self.pairing)
+        return resolve_mode(self.n, mode).sqrt(self.pairing)
 
     @property
     def sup_lam(self) -> Fraction:
@@ -245,10 +244,10 @@ def apply_A(
     w: WeightConfig, omega: Multivector, mode: ScalarMode | None = None
 ) -> Multivector:
     """Apply ``A = i_v + lambda^`` coordinate-wise; the output support lies in
-    the cube neighborhood of the input support. Given a ``mode``, the
-    weights are converted into it once up front (in float mode each product
-    is then the one ``Fraction * float`` would give, computed natively)."""
+    the cube neighborhood of the input support. The weights are converted
+    into the mode once up front (in float mode each product is then the one
+    ``Fraction * float`` would give, computed natively)."""
     if w.n != omega.n:
         raise ValueError(f"dimension mismatch: {w.n} vs {omega.n}")
-    v, lam = (w.v, w.lam) if mode is None else (w.v_in(mode), w.lam_in(mode))
-    return interior_product(v, omega) + wedge_lambda(lam, omega)
+    mode = resolve_mode(w.n, mode)
+    return interior_product(w.v_in(mode), omega) + wedge_lambda(w.lam_in(mode), omega)

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .cube import check_dimension
 from .exterior import Multivector, Scalar, WeightConfig, apply_A
-from .scalars import ScalarMode
+from .scalars import ScalarMode, resolve_mode
 
 MATRIX_MAX_DIMENSION = 20  # n * 2^n nonzeros; beyond this matvec stops being sane
 
@@ -99,7 +99,7 @@ def build_matrix(w: WeightConfig, mode: ScalarMode | None = None) -> SignedCubeM
     are read from a table built once, indexed ``[parity][bit set][b]``, so
     a negative entry is not negated again on every call.
     """
-    mode = mode or ScalarMode.exact()
+    mode = resolve_mode(w.n, mode)
     lam, v = w.lam_in(mode), w.v_in(mode)
     table = ((lam, v), (tuple(-x for x in lam), tuple(-x for x in v)))
 
@@ -136,7 +136,7 @@ def verify_square_identity(
     """Check ``M^2 = lambda(v) I`` column by column through sparse composition:
     in exact mode of the integer matrix ``den * M`` for the M given, ``den``
     the lcm of its entries' denominators, against ``lambda(v) * den^2``."""
-    mode = mode or ScalarMode.exact()
+    mode = resolve_mode(w.n, mode)
     expected = mode.convert(w.pairing)
     scale = float(expected)
     column, target, den2 = M.column, expected, 1
@@ -166,10 +166,10 @@ def operator_trace(w: WeightConfig, mode: ScalarMode | None = None) -> Scalar:
     """Trace of A computed through the exterior-algebra path (independent of
     the matrix entry rule): A flips degree parity, so every diagonal
     coefficient vanishes."""
-    mode = mode or ScalarMode.exact()
+    mode = resolve_mode(w.n, mode)
     total: Scalar = mode.convert(0)
     for gamma in range(1 << w.n):
-        image = apply_A(w, Multivector.basis(w.n, gamma))
+        image = apply_A(w, Multivector.basis(w.n, gamma), mode)
         total = total + image.coefficient(gamma)
     return total
 
@@ -179,7 +179,7 @@ class EigenSplit:
 
     def __init__(self, M: SignedCubeMatrix, w: WeightConfig, mode: ScalarMode | None = None):
         self.matrix = M
-        self.mode = mode or ScalarMode.exact()
+        self.mode = resolve_mode(w.n, mode)
         self.s = w.eigenvalue(self.mode)
         self._half = self.mode.convert(Fraction(1, 2))
         self._s_inv = 1 / self.s
@@ -231,7 +231,7 @@ def spectral_report(
 ) -> SpectralReport:
     """Zero trace, equal eigenvalue multiplicities via the trace of P_+,
     and projector idempotency checked matrix-free on random vectors."""
-    mode = mode or ScalarMode.exact()
+    mode = resolve_mode(w.n, mode)
     trace = operator_trace(w, mode)
     split = EigenSplit(M, w, mode)
     mult_plus, mult_minus = split.multiplicities(trace)

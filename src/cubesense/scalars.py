@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+EXACT_DEFAULT_LIMIT = 12  # exact arithmetic is the default up to this n
+
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadraticScalar"]
 
@@ -355,7 +357,9 @@ class ScalarMode:
         return self.kind == "exact"
 
     def convert(self, q: RationalLike) -> "Fraction | float":
-        return Fraction(q) if self.is_exact else float(q)
+        if not self.is_exact:
+            return float(q)
+        return q if isinstance(q, Fraction) else Fraction(q)
 
     def sqrt(self, q: RationalLike) -> "QuadraticScalar | float":
         if self.is_exact:
@@ -376,5 +380,10 @@ class ScalarMode:
             return format_exact(value)  # type: ignore[arg-type]
         return format_float(value)  # type: ignore[arg-type]
 
-    def json_name(self) -> str:
-        return self.kind
+
+def resolve_mode(n: int, mode: ScalarMode | None) -> ScalarMode:
+    """The mode given, or by default exact up to ``EXACT_DEFAULT_LIMIT``
+    and float beyond it."""
+    if mode is not None:
+        return mode
+    return ScalarMode.exact() if n <= EXACT_DEFAULT_LIMIT else ScalarMode.floating()

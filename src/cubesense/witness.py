@@ -48,9 +48,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .cube import DegreeProfile, InducedSubgraph, format_vertex
 from .exterior import Multivector, Scalar, WeightConfig, apply_A
 from .matrices import SignedCubeMatrix, build_matrix
-from .scalars import ScalarMode, exact_sign, magnitude_key
+from .scalars import ScalarMode, exact_sign, magnitude_key, resolve_mode
 
-EXACT_DEFAULT_LIMIT = 12  # exact elimination is the default up to this n
 FLOAT_SOLVE_MAX_BYTES = 1 << 29  # three float64 copies of M[E', O] for its QR, at most 512 MiB
 
 
@@ -70,12 +69,6 @@ class NumericalRankError(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """A theorem-guaranteed property failed to verify: always a bug."""
-
-
-def resolve_mode(n: int, mode: Optional[ScalarMode]) -> ScalarMode:
-    if mode is not None:
-        return mode
-    return ScalarMode.exact() if n <= EXACT_DEFAULT_LIMIT else ScalarMode.floating()
 
 
 @dataclass(frozen=True)
@@ -104,7 +97,7 @@ class WitnessReport:
         fmt = self.mode.format
         return {
             "n": self.n,
-            "mode": self.mode.json_name(),
+            "mode": self.mode.kind,
             "C": fmt(self.ratio),
             "beta": format_vertex(self.beta, self.n),
             "omega_beta": fmt(self.omega_beta),
@@ -387,9 +380,8 @@ def extract_witness(
         marginal = False
     else:
         diff = bound_rhs - bound_lhs
-        noise = mode.tol * max(1.0, abs(bound_lhs))
-        marginal = abs(diff) <= noise
-        certified = diff >= -noise
+        marginal = mode.within(diff, bound_lhs)
+        certified = marginal or diff > 0
 
     return WitnessReport(
         n=H.n,

@@ -11,7 +11,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from cubesense import (
@@ -22,6 +22,7 @@ from cubesense import (
     WeightConfig,
     build_matrix,
 )
+from cubesense.exhaustive import _colex_from
 from cubesense.exterior import Scalar
 from cubesense.scalars import RationalLike, format_rational, sqrt_decompose
 from cubesense.witness import (
@@ -325,6 +326,18 @@ def oracle_colex(n: int, size: int) -> List[int]:
     """Every size-subset of Q_n's vertices as a bitmask, in colex order
     (colex order of subsets is the numeric order of their bitmasks)."""
     return sorted(sum(1 << u for u in subset) for subset in combinations(range(1 << n), size))
+
+
+def next_combination(mask: int) -> int:
+    """The next bitmask with the same popcount, ascending: one step of the
+    scan's Gosper iteration."""
+    return next(islice(_colex_from(mask), 1, None))
+
+
+def rank_combination(mask: int) -> int:
+    """The colex rank of a bitmask, ``sum C(c_i, i)`` over its set bits
+    ``c_1 < ... < c_k``: the inverse of ``unrank_combination``."""
+    return sum(math.comb(c, i + 1) for i, c in enumerate(oracle_iter_bits(mask)))
 
 
 # -- dense linear-algebra oracles ----------------------------------------------

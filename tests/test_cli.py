@@ -202,6 +202,13 @@ def test_exhaustive_budget_exit():
     assert "budget" in proc.stderr
 
 
+def test_exhaustive_random_budget_exit():
+    proc = run_cli(
+        "exhaustive", "--n", "4", "--strategy", "random:11:0", "--budget", "10", expect=1
+    )
+    assert "budget" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -24,14 +24,12 @@ from cubesense import (
 )
 from cubesense.exhaustive import (
     max_induced_degree,
-    next_combination,
-    rank_combination,
     sample_mask,
     sample_ranks,
     unrank_combination,
 )
 
-from helpers import oracle_exhaustive, oracle_max_degree
+from helpers import next_combination, oracle_exhaustive, oracle_max_degree, rank_combination
 
 # min-max degree, histogram, violations: first derived by oracle_exhaustive
 # (plain itertools enumeration), then frozen; the scan must reproduce them.
@@ -159,6 +157,14 @@ def test_budget_gate():
     # itself would take hours and is not attempted here)
     plan = EnumerationPlan(n=5, subset_size=17, budget=10**9)
     assert plan.universe_size == math.comb(32, 17)
+
+
+def test_budget_gate_random_plan():
+    # a random plan's size is its sample count, refused over the budget
+    # like an exhaustive plan's universe
+    with pytest.raises(BudgetExceededError):
+        EnumerationPlan(4, 9, RandomSample(11, 0), budget=10)
+    assert EnumerationPlan(4, 9, RandomSample(10, 0), budget=10).total_to_scan == 10
 
 
 def test_random_strategy_reproducible():

@@ -30,6 +30,7 @@ from cubesense import (
     ScalarMode,
     SubgraphTooSmallError,
     WeightConfig,
+    apply_A,
     build_matrix,
     extract_witness,
     positive_eigenvector_in_span,
@@ -288,7 +289,7 @@ def test_float_mode_matches_exact():
         exact = run_pipeline(w, H, ScalarMode.exact())
         floaty = run_pipeline(w, H, mode)
         assert floaty.certified
-        assert floaty.mode.json_name() == "float"
+        assert floaty.mode.kind == "float"
         assert abs(float(exact.bound_lhs) - floaty.bound_lhs) < 1e-9
         assert floaty.profile.degree ** 2 >= n
 
@@ -314,6 +315,39 @@ def test_default_mode_switches_at_twelve():
     assert resolve_mode(12, None).is_exact
     assert not resolve_mode(13, None).is_exact
     assert resolve_mode(13, ScalarMode.exact()).is_exact
+
+
+@pytest.mark.parametrize("n, exact", [(12, True), (13, False)])
+def test_library_default_mode_switches_at_twelve(n, exact):
+    # without a mode, the matrix, exterior and witness layers all follow
+    # the one default: exact up to n = 12, float beyond
+    w = WeightConfig.uniform(n, 1, 1)
+    M = build_matrix(w)
+    rational = Fraction if exact else float
+    assert isinstance(M.entry(1, 0), rational)
+    assert isinstance(w.eigenvalue(), QuadraticScalar if exact else float)
+    assert EigenSplit(M, w).mode.is_exact is exact
+    image = apply_A(w, Multivector.basis(n, 0))
+    assert all(isinstance(c, rational) for _, c in image.items())
+
+
+@pytest.mark.parametrize("tol", [0.5, 0.49])
+@pytest.mark.parametrize("vertex, degree", [(0b0100, 1), (0b0001, 2), (0b0000, 3)])
+def test_float_tolerance_boundary(vertex, degree, tol):
+    # at C = 1 on Q_4, bound_lhs = 2 and bound_rhs = degree, so diff is
+    # exactly 0 or +-1, and the noise 2 * tol is exactly 1 at tol = 0.5:
+    # marginal and certified follow the noise tol * max(1, |bound_lhs|)
+    # on both sides of the boundary
+    H = InducedSubgraph.from_vertices(4, [0b0000, 0b0001, 0b0010, 0b0100, 0b0011])
+    assert H.degree_profile(vertex).degree == degree
+    w = WeightConfig.uniform(4, 1, 1)
+    report = extract_witness(w, H, Multivector.basis(4, vertex), ScalarMode.floating(tol))
+    diff = report.bound_rhs - report.bound_lhs
+    noise = tol * max(1.0, abs(report.bound_lhs))
+    assert diff == degree - 2
+    assert (report.marginal, report.certified) == (abs(diff) <= noise, diff >= -noise)
+    assert report.marginal is (tol == 0.5 or degree == 2)
+    assert report.certified is (tol == 0.5 or degree >= 2)
 
 
 def test_equality_cases_at_n4():
