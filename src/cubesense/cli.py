@@ -20,7 +20,7 @@ from . import exhaustive as exhaustive_mod
 from .cube import InducedSubgraph, check_dimension, parse_subgraph
 from .exterior import WeightConfig
 from .matrices import build_matrix, spectral_report, verify_square_identity
-from .scalars import ScalarMode, parse_rational, resolve_mode
+from .scalars import DEFAULT_TOL, ScalarMode, parse_rational, resolve_mode
 from .witness import InvariantViolation, NumericalRankError, run_pipeline, weighted_scan
 
 
@@ -39,7 +39,7 @@ def _add_mode_flags(parser: argparse.ArgumentParser) -> None:
         help="scalar arithmetic: exact field arithmetic or binary64 (default: auto by n)",
     )
     parser.add_argument(
-        "--tol", type=float, default=1e-9, help="float-mode tolerance (default 1e-9)"
+        "--tol", type=float, default=DEFAULT_TOL, help="float-mode tolerance (default %(default)g)"
     )
     parser.add_argument(
         "--format", choices=["json", "text"], default="json", help="output format"

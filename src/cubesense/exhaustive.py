@@ -23,18 +23,11 @@ import os
 import random
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .cube import (
-    InducedSubgraph,
-    check_dimension,
-    degree_sets,
-    format_vertex,
-    iter_bits,
-    lane_width,
-)
+from .cube import InducedSubgraph, check_dimension, degree_sets, lane_width
 from .exterior import WeightConfig
 from .scalars import EXACT_DEFAULT_LIMIT
 from .witness import InvariantViolation, run_pipeline
@@ -117,11 +110,7 @@ class EnumerationPlan:
         # parallel_shards is an execution detail: reports must be identical
         # across shard-count variations of the same plan
         if isinstance(self.strategy, RandomSample):
-            strategy = {
-                "kind": "random",
-                "count": self.strategy.count,
-                "seed": self.strategy.seed,
-            }
+            strategy = {"kind": "random", **asdict(self.strategy)}
         else:
             strategy = {"kind": "exhaustive"}
         return {
@@ -172,17 +161,6 @@ def sample_mask(rng: random.Random, universe: int, size: int) -> int:
         t = rng.randrange(j + 1)
         seen[j if seen[t] else t] = 1
     return int(seen[::-1].translate(_BYTE_BITS), 2)
-
-
-def sample_ranks(rng: random.Random, universe: int, size: int) -> List[int]:
-    """Floyd's sampling over a set, for universes too large for bitmasks."""
-    if not 0 < size <= universe:
-        raise ValueError(f"cannot sample {size} of {universe}")
-    chosen: set = set()
-    for j in range(universe - size, universe):
-        t = rng.randrange(j + 1)
-        chosen.add(j if t in chosen else t)
-    return sorted(chosen)
 
 
 def max_induced_degree(members: int, n: int) -> int:
@@ -318,7 +296,7 @@ class ExhaustiveReport:
         return self.violations == 0 and self.min_max_degree >= self.plan.degree_bound()
 
     def argmin_lines(self) -> List[str]:
-        return [format_vertex(u, self.plan.n) for u in iter_bits(self.argmin_subset)]
+        return InducedSubgraph(self.plan.n, self.argmin_subset).to_lines()
 
     def to_json_dict(self) -> dict:
         return {
@@ -344,7 +322,7 @@ def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
     Deterministic for a fixed plan regardless of parallel_shards: shard
     boundaries are fixed rank intervals and the merge is ordered.
     """
-    shards = plan.parallel_shards
+    shards = min(plan.parallel_shards, plan.total_to_scan)  # more would add only empty intervals
     cuts = [plan.total_to_scan * i // shards for i in range(shards + 1)]
     jobs = [(plan, start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
     total = _run_shards(jobs, shards)
@@ -381,7 +359,8 @@ def cross_check_with_witness(plan: EnumerationPlan, sample: int) -> CrossCheckRe
 
     Samples ranks without replacement from the plan's subset pool (seeded
     by the plan's strategy, or 0 for exhaustive plans); sample == pool size
-    reproduces the full cross product.
+    reproduces the full cross product. ``random.sample`` draws the ranks,
+    so a pool over ``sys.maxsize`` subsets raises OverflowError.
     """
     if plan.n > EXACT_DEFAULT_LIMIT:
         raise ValueError(f"cross-check is limited to n <= {EXACT_DEFAULT_LIMIT}")
@@ -390,7 +369,7 @@ def cross_check_with_witness(plan: EnumerationPlan, sample: int) -> CrossCheckRe
         raise ValueError(f"sample must be in [1, {pool_size}]")
     pool = random_masks(plan) if isinstance(plan.strategy, RandomSample) else None
     seed = plan.strategy.seed if pool is not None else 0
-    chosen = sample_ranks(random.Random(seed), pool_size, sample)
+    chosen = sorted(random.Random(seed).sample(range(pool_size), sample))
 
     w = WeightConfig.uniform(plan.n, 1, 1)
     checked = consistent = 0
@@ -403,11 +382,6 @@ def cross_check_with_witness(plan: EnumerationPlan, sample: int) -> CrossCheckRe
         witness_degree = report.profile.degree
         _, true_max = H.max_degree()
         checked += 1
-        if (
-            report.certified
-            and witness_degree <= true_max
-            and witness_degree**2 >= plan.n
-            and true_max**2 >= plan.n
-        ):
+        if report.certified and plan.degree_bound() <= witness_degree <= true_max:
             consistent += 1
     return CrossCheckReport(checked=checked, consistent=consistent)

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 EXACT_DEFAULT_LIMIT = 12  # exact arithmetic is the default up to this n
+DEFAULT_TOL = 1e-9  # float-mode tolerance, relative to the structure's max entry
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadraticScalar"]
@@ -302,12 +303,6 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadraticScalar:
     return out
 
 
-def exact_sign(value: ScalarLike) -> int:
-    if isinstance(value, QuadraticScalar):
-        return value.sign()
-    return (value > 0) - (value < 0)
-
-
 def magnitude_key(value: "ScalarLike | float") -> "ScalarLike | float":
     """A key ordered like ``|value|``: a float as it is, an exact value by its
     square, which for ``(a + b*sqrt(d)) / c`` with ``a*b == 0`` is the
@@ -336,7 +331,7 @@ class ScalarMode:
     """Arithmetic regime: exact field arithmetic or binary64 with tolerance."""
 
     kind: str  # "exact" | "float"
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "float"):
@@ -349,7 +344,7 @@ class ScalarMode:
         return cls("exact")
 
     @classmethod
-    def floating(cls, tol: float = 1e-9) -> "ScalarMode":
+    def floating(cls, tol: float = DEFAULT_TOL) -> "ScalarMode":
         return cls("float", tol)
 
     @property

@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .cube import DegreeProfile, InducedSubgraph, format_vertex
 from .exterior import Multivector, Scalar, WeightConfig, apply_A
 from .matrices import SignedCubeMatrix, build_matrix
-from .scalars import ScalarMode, exact_sign, magnitude_key, resolve_mode
+from .scalars import ScalarMode, magnitude_key, resolve_mode
 
 FLOAT_SOLVE_MAX_BYTES = 1 << 29  # three float64 copies of M[E', O] for its QR, at most 512 MiB
 
@@ -60,7 +60,7 @@ class SubgraphTooSmallError(ValueError):
 
 class DenseSolveTooLargeError(ValueError):
     """The float-mode dense solve would exceed ``FLOAT_SOLVE_MAX_BYTES``;
-    it is refused before anything is allocated."""
+    it is refused before any dense allocation."""
 
 
 class NumericalRankError(RuntimeError):
@@ -229,23 +229,13 @@ def _float_kernel_vector(rows: List[Dict[int, float]], num_cols: int) -> List[fl
     return x.tolist()
 
 
-def _even_vertices(n: int) -> int:
-    """Bitset of the even-weight vertices of Q_n (the Thue-Morse pattern)."""
-    mask = 1
-    for b in range(n):
-        width = 1 << b
-        mask |= (~mask & ((1 << width) - 1)) << width
-    return mask
-
-
-def _check_float_solve_size(H: InducedSubgraph) -> None:
-    """Refuse, before allocating, a QR of the dense ``M[E', O]^T`` that
-    would exceed ``FLOAT_SOLVE_MAX_BYTES``: the block, numpy's working copy
-    and LAPACK's column-major copy are alive at once. With E' empty no QR
-    runs and nothing dense is allocated."""
-    even = _even_vertices(H.n)
-    num_rows = (even & ~H.members).bit_count()
-    num_cols = (H.members & ~even).bit_count()
+def _check_float_solve_size(H: InducedSubgraph, num_cols: int) -> None:
+    """Refuse, before any dense allocation, a QR of the dense ``M[E', O]^T``
+    that would exceed ``FLOAT_SOLVE_MAX_BYTES``: the block, numpy's working
+    copy and LAPACK's column-major copy are alive at once. ``num_cols`` is
+    |O|; half of Q_n is even, so ``|E'| = 2^(n-1) - |E| = 2^(n-1) - |H| + |O|``.
+    With E' empty no QR runs and nothing dense is allocated."""
+    num_rows = (1 << (H.n - 1)) - H.cardinality + num_cols
     needed = 3 * 8 * num_rows * num_cols
     if needed > FLOAT_SOLVE_MAX_BYTES:
         raise DenseSolveTooLargeError(
@@ -281,13 +271,10 @@ def positive_eigenvector_in_span(
         raise ValueError(f"dimension mismatch: weights n={w.n}, subgraph n={H.n}")
     _require_large(H)
     mode = resolve_mode(H.n, mode)
-    if not mode.is_exact:
-        _check_float_solve_size(H)
     columns = list(H.vertices())
-    M = build_matrix(w, mode)
     if mode.is_exact:
         # row beta reads M[beta, O] y_O - y_beta = 0
-        inside, outside = _even_rows(M, H, columns)
+        inside, outside = _even_rows(build_matrix(w, mode), H, columns)
         for j, gamma in enumerate(columns):
             if not gamma.bit_count() & 1:
                 inside.setdefault(gamma, {})[j] = -1
@@ -300,7 +287,8 @@ def positive_eigenvector_in_span(
         y = dict(zip(columns, solution))
     else:
         odd = [gamma for gamma in columns if gamma.bit_count() & 1]
-        inside, outside = _even_rows(M, H, odd)
+        _check_float_solve_size(H, len(odd))
+        inside, outside = _even_rows(build_matrix(w, mode), H, odd)
         y_odd = _float_kernel_vector([outside[b] for b in sorted(outside)], len(odd))
         y = dict(zip(odd, y_odd))
         for beta, row in inside.items():
@@ -367,7 +355,7 @@ def extract_witness(
 
     beta = _max_coordinate((g, magnitude_key(c)) for g, c in omega.items())[0]
     coord = omega.coefficient(beta)
-    if exact_sign(coord) < 0:
+    if coord < 0:
         coord = -coord  # flip omega so the witness coordinate is positive
 
     profile = H.degree_profile(beta)

@@ -156,6 +156,8 @@ def test_vertex_range_validation():
         InducedSubgraph(0, 0)
     with pytest.raises(ValueError):
         InducedSubgraph(25, 0)
+    with pytest.raises(ValueError):
+        InducedSubgraph(2, 1 << 4)  # vertex 4 is outside Q_2
 
 
 def test_iter_bits_matches_oracle():

@@ -11,6 +11,7 @@ Core claims:
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,8 +25,8 @@ from cubesense import (
 )
 from cubesense.exhaustive import (
     max_induced_degree,
+    random_masks,
     sample_mask,
-    sample_ranks,
     unrank_combination,
 )
 
@@ -106,14 +107,15 @@ def test_shard_variations_produce_identical_reports():
         assert sharded == base
 
 
-def test_pool_workers_capped_at_cpu_count(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces ProcessPoolExecutor with a pool that runs jobs inline; the
+    list returned collects the worker count each pool is asked for."""
     import concurrent.futures
 
     requested = []
 
     class SerialPool:
-        """Records the worker count it is asked for and runs jobs inline."""
-
         def __init__(self, max_workers=None):
             requested.append(max_workers)
 
@@ -127,6 +129,11 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return requested
+
+
+def test_pool_workers_capped_at_cpu_count(monkeypatch, serial_pool):
+    requested = serial_pool
     base = enumerate_and_verify(EnumerationPlan(n=4)).to_json_dict()
     sample = RandomSample(count=100, seed=9)
     sample_base = enumerate_and_verify(EnumerationPlan(n=4, strategy=sample)).to_json_dict()
@@ -140,6 +147,20 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
             plan = EnumerationPlan(n=4, strategy=sample, parallel_shards=shards)
             assert enumerate_and_verify(plan).to_json_dict() == sample_base
             assert requested == [min(shards, cpus or 1)] * 2
+
+
+def test_shard_count_beyond_the_plan_allocates_nothing(serial_pool):
+    # 4 subsets: a million shards must cost what 4 do, not a million cut points
+    base = enumerate_and_verify(EnumerationPlan(n=2)).to_json_dict()
+    plan = EnumerationPlan(n=2, parallel_shards=10**6)
+    tracemalloc.start()
+    try:
+        report = enumerate_and_verify(plan).to_json_dict()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == base
+    assert peak < 1 << 20
 
 
 def test_monotone_in_subset_size():
@@ -196,6 +217,8 @@ def test_plan_validation():
         EnumerationPlan(n=3, subset_size=9)
     with pytest.raises(ValueError):
         EnumerationPlan(n=3, parallel_shards=0)
+    with pytest.raises(ValueError):
+        EnumerationPlan(n=3, budget=0)
     assert EnumerationPlan(n=3).subset_size == 5  # 2^(n-1) + 1 default
     assert EnumerationPlan(n=3).total_to_scan == 56
     assert EnumerationPlan(n=3, strategy=RandomSample(9, 0)).total_to_scan == 9
@@ -205,11 +228,11 @@ def test_sampling_helpers():
     rng = random.Random(3)
     mask = sample_mask(rng, 16, 9)
     assert mask.bit_count() == 9 and mask < (1 << 16)
-    ranks = sample_ranks(random.Random(3), 1000, 10)
-    assert len(ranks) == len(set(ranks)) == 10
-    assert ranks == sorted(ranks)
-    assert sample_ranks(random.Random(3), 1000, 10) == ranks
-    assert sample_ranks(random.Random(5), 56, 56) == list(range(56))
+    for size in (5, 0):
+        with pytest.raises(ValueError):
+            sample_mask(rng, 4, size)
+    with pytest.raises(ValueError):
+        random_masks(EnumerationPlan(n=3))  # an exhaustive plan has no seeded sample
 
 
 def test_cross_check_full_products():

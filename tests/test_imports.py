@@ -1,0 +1,54 @@
+"""Source hygiene: no module of the package imports a name it never uses.
+
+Core claims:
+    - every name a ``src/cubesense`` module imports is read somewhere in
+      that module, in code or in a quoted annotation, so a helper that
+      loses its last caller cannot leave its import behind
+      (``__init__.py`` re-exports by design and is skipped)
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cubesense"
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Each name an import statement binds, mapped to its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def _read(tree: ast.Module) -> set:
+    """Every name the module reads, quoted annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if annotation is None:
+            continue
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                quoted = ast.parse(part.value, mode="eval")
+                names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_unused_imports():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = _read(tree)
+        stale = [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in read]
+        if stale:
+            unused[path.name] = stale
+    assert unused == {}

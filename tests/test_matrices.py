@@ -291,6 +291,8 @@ def test_four_cycle_products():
         assert four_cycle_products_negative(huang_matrix(n))
     with pytest.raises(ValueError):
         four_cycle_products_negative(build_matrix(WeightConfig.uniform(2, 2, 2)))
+    for n in (2, 3):  # the all-+1 signing: every 2-face has product +1
+        assert not four_cycle_products_negative(SignedCubeMatrix(n, lambda gamma, b: 1))
 
 
 def test_matrix_dump_format():

@@ -246,12 +246,6 @@ def test_float_matches_whole_system_generated(case):
 
 # -- the size bound -------------------------------------------------------------------
 
-def test_even_vertices_bitset():
-    for n in range(1, 11):
-        expected = sum(1 << g for g in range(1 << n) if g.bit_count() % 2 == 0)
-        assert witness._even_vertices(n) == expected
-
-
 def test_size_bound_is_inclusive_and_checked_before_qr(monkeypatch):
     rng = random.Random(7)
     H = random_large(rng, 6)

@@ -21,7 +21,7 @@ from cubesense import (
     parse_rational,
     sqrt_decompose,
 )
-from cubesense.scalars import format_float, is_squarefree
+from cubesense.scalars import format_float, is_squarefree, squarefree_decompose
 
 from helpers import oracle_sqrt_decompose
 
@@ -39,6 +39,13 @@ def test_sqrt_decompose_rejects_nonpositive():
         sqrt_decompose(Fraction(0))
     with pytest.raises(PositivityError):
         sqrt_decompose(Fraction(-4, 9))
+    with pytest.raises(PositivityError):
+        squarefree_decompose(0)
+    for q in (0, -1):
+        with pytest.raises(PositivityError):
+            ScalarMode.floating().sqrt(q)
+    with pytest.raises(ValueError):
+        QuadraticScalar(1, 1, 0)  # a radicand below 1
 
 
 def test_sqrt_decompose_round_trip_random():

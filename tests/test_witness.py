@@ -38,7 +38,12 @@ from cubesense import (
     weighted_scan,
 )
 from cubesense.exhaustive import sample_mask
-from cubesense.witness import NumericalRankError, _float_kernel_vector, _max_coordinate
+from cubesense.witness import (
+    NumericalRankError,
+    _first_kernel_vector,
+    _float_kernel_vector,
+    _max_coordinate,
+)
 
 from helpers import dense_matvec, oracle_max_degree, to_dense
 
@@ -299,6 +304,11 @@ def test_float_rank_detection_failure():
     rows = [{0: 1.0}, {1: 1.0}]
     with pytest.raises(NumericalRankError):
         _float_kernel_vector(rows, 2)
+
+
+def test_exact_kernel_of_full_rank_system_is_none():
+    # every column carries a pivot, so no column is free
+    assert _first_kernel_vector([{0: 1}, {1: 1}], 2) is None
 
 
 def test_reports_serialize_deterministically():
