@@ -124,42 +124,38 @@ def _accumulate(store: Dict[int, Scalar], mask: int, value: Scalar) -> None:
         store[mask] = value
 
 
-def _check_coords(coords: Sequence[Scalar], omega: Multivector) -> None:
+def _antiderivation(coords: Sequence[Scalar], omega: Multivector, removes: bool) -> Multivector:
+    """Remove (``i_v``) or insert (``lambda ^``) each factor ``b`` of every
+    basis form ``e*_S`` with weight ``coords[b]``; either way the sign is
+    ``(-1)^#{i in S : i < b}``. One walk visits the bits it acts on, lowest
+    first: the set bits of S, or the clear ones."""
     if len(coords) != omega.n:
         raise ValueError(
             f"coordinate vector of length {len(coords)} does not match n={omega.n}"
         )
+    full = (1 << omega.n) - 1
+    out: Dict[int, Scalar] = {}
+    for mask, c in omega.items():
+        acts = mask if removes else full ^ mask
+        while acts:
+            low = acts & -acts  # 1 << b
+            acts ^= low
+            term = coords[low.bit_length() - 1] * c
+            below = (mask & (low - 1)).bit_count()
+            _accumulate(out, mask ^ low, -term if below & 1 else term)
+    return Multivector(omega.n, out)
 
 
 def interior_product(v: Sequence[Scalar], omega: Multivector) -> Multivector:
     """Contract a vector into the first slot: on a basis form,
     ``i_v e*_S = sum_{l in S} (-1)^(pos(l,S)-1) v_l e*_(S minus l)``."""
-    _check_coords(v, omega)
-    out: Dict[int, Scalar] = {}
-    for mask, c in omega.items():
-        pos = 0
-        for b in range(omega.n):
-            if mask >> b & 1:
-                term = v[b] * c
-                _accumulate(out, mask ^ (1 << b), -term if pos % 2 else term)
-                pos += 1
-    return Multivector(omega.n, out)
+    return _antiderivation(v, omega, removes=True)
 
 
 def wedge_lambda(lam: Sequence[Scalar], omega: Multivector) -> Multivector:
     """Left-wedge by a covector: on a basis form,
     ``lambda ^ e*_S = sum_{k not in S} (-1)^#{i in S : i < k} lambda_k e*_(S plus k)``."""
-    _check_coords(lam, omega)
-    out: Dict[int, Scalar] = {}
-    for mask, c in omega.items():
-        transpositions = 0
-        for b in range(omega.n):
-            if mask & (1 << b):
-                transpositions += 1
-                continue
-            term = lam[b] * c
-            _accumulate(out, mask | (1 << b), -term if transpositions % 2 else term)
-    return Multivector(omega.n, out)
+    return _antiderivation(lam, omega, removes=False)
 
 
 def wedge(alpha: Multivector, beta: Multivector) -> Multivector:

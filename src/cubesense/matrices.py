@@ -188,11 +188,9 @@ class EigenSplit:
         return self._combine(vec, self.matrix.apply(vec), sign)
 
     def _combine(self, vec: Sequence[Scalar], image: Sequence[Scalar], sign: int) -> list:
-        """``P_+- vec = (vec +- image / s) / 2`` for the eigen image ``M vec``."""
-        half, s_inv = self._half, self._s_inv
-        if sign > 0:
-            return [(s_inv * y + x) * half for x, y in zip(vec, image)]
-        return [(x - s_inv * y) * half for x, y in zip(vec, image)]
+        """``P_+- vec = (+-image / s + vec) / 2`` for the eigen image ``M vec``."""
+        half, s_inv = self._half, sign * self._s_inv
+        return [(s_inv * y + x) * half for x, y in zip(vec, image)]
 
     def multiplicities(self, trace: Scalar) -> Tuple[Scalar, Scalar]:
         """trace(P_+-) = (2^n +- trace(M)/s) / 2."""
@@ -250,10 +248,10 @@ def spectral_report(
             once = split._combine(vec, image, sign)
             eigen_image = M.apply(once)
             twice = split._combine(once, eigen_image, sign)
-            s_once = [split.s * x for x in once]
-            for a, b, c, d in zip(once, twice, eigen_image, s_once):
+            signed_s = sign * split.s
+            for a, b, c in zip(once, twice, eigen_image):
                 # A P_+- = +-s P_+- alongside idempotency
-                for dev in (a - b, c - d if sign > 0 else c + d):
+                for dev in (a - b, c - signed_s * a):
                     if dev:
                         worst = max(worst, abs(float(dev)))
                         ok = ok and mode.within(dev, scale)
@@ -302,29 +300,22 @@ def switching_equivalent(
 ) -> Optional[List[int]]:
     """Search for a diagonal +-1 matrix D with D M1 D = M2.
 
-    Fix d[0] = +1, propagate d along cube edges by BFS (each edge forces
-    the far sign), then verify every edge; propagation alone is not enough
-    because the cube has cycles. Returns the diagonal as a list, or None.
+    Fix d[0] = +1 and take each other d[u] from its parent
+    ``u & (u - 1)`` (u without its lowest bit): these edges span the cube,
+    and each forces the far sign. Then verify every edge; the tree alone is
+    not enough because the cube has cycles. Returns the diagonal as a list,
+    or None.
     """
     if M1.n != M2.n:
         raise ValueError("signings live on cubes of different dimension")
     _unit_entries(M1)
     _unit_entries(M2)
     size = M1.size
-    diag: List[int] = [0] * size
-    diag[0] = 1
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for b in range(M1.n):
-            w_ = u ^ (1 << b)
-            if diag[w_]:
-                continue
-            # d[u] * M1[u,w] * d[w] = M2[u,w]  with +-1 entries
-            diag[w_] = int(diag[u] * M1.entry(u, w_) * M2.entry(u, w_))
-            queue.append(w_)
+    diag: List[int] = [1] * size
+    for u in range(1, size):
+        p = u & (u - 1)
+        # d[p] * M1[p,u] * d[u] = M2[p,u]  with +-1 entries
+        diag[u] = int(diag[p] * M1.entry(p, u) * M2.entry(p, u))
     for u in range(size):
         for b in range(M1.n):
             w_ = u ^ (1 << b)

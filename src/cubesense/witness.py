@@ -137,20 +137,16 @@ def _restricted_rows(
     return [rows[beta] for beta in sorted(rows)]
 
 
-def _even_rows(
-    M: SignedCubeMatrix, H: InducedSubgraph, columns: Sequence[int]
-) -> Tuple[Dict[int, Dict[int, Scalar]], Dict[int, Dict[int, Scalar]]]:
-    """Rows ``M[beta, O]`` for the even ``beta`` inside H (E) and outside it
-    (E'), keyed by the odd columns' positions in ``columns``. An even vertex
-    with no odd neighbour among the columns gets no row."""
-    members = H.members
-    inside: Dict[int, Dict[int, Scalar]] = {}
-    outside: Dict[int, Dict[int, Scalar]] = {}
+def _even_rows(M: SignedCubeMatrix, columns: Sequence[int]) -> Dict[int, Dict[int, Scalar]]:
+    """Rows ``M[beta, O]`` for every even ``beta``, keyed by the odd
+    columns' positions in ``columns``. An even vertex with no odd neighbour
+    among the columns gets no row."""
+    rows: Dict[int, Dict[int, Scalar]] = {}
     for j, gamma in enumerate(columns):
         if gamma.bit_count() & 1:
             for beta, val in M.column(gamma):
-                (inside if members >> beta & 1 else outside).setdefault(beta, {})[j] = val
-    return inside, outside
+                rows.setdefault(beta, {})[j] = val
+    return rows
 
 
 def _first_kernel_vector(
@@ -271,14 +267,14 @@ def positive_eigenvector_in_span(
         raise ValueError(f"dimension mismatch: weights n={w.n}, subgraph n={H.n}")
     _require_large(H)
     mode = resolve_mode(H.n, mode)
-    columns = list(H.vertices())
     if mode.is_exact:
+        M = build_matrix(w, mode)
+        columns = list(H.vertices())
         # row beta reads M[beta, O] y_O - y_beta = 0
-        inside, outside = _even_rows(build_matrix(w, mode), H, columns)
+        rows = _even_rows(M, columns)
         for j, gamma in enumerate(columns):
             if not gamma.bit_count() & 1:
-                inside.setdefault(gamma, {})[j] = -1
-        rows = {**outside, **inside}
+                rows.setdefault(gamma, {})[j] = -1
         solution = _first_kernel_vector([rows[b] for b in sorted(rows)], len(columns))
         if solution is None:
             raise InvariantViolation(
@@ -286,13 +282,17 @@ def positive_eigenvector_in_span(
             )
         y = dict(zip(columns, solution))
     else:
-        odd = [gamma for gamma in columns if gamma.bit_count() & 1]
-        _check_float_solve_size(H, len(odd))
-        inside, outside = _even_rows(build_matrix(w, mode), H, odd)
-        y_odd = _float_kernel_vector([outside[b] for b in sorted(outside)], len(odd))
+        _check_float_solve_size(H, sum(gamma.bit_count() & 1 for gamma in H.vertices()))
+        M = build_matrix(w, mode)
+        odd = [gamma for gamma in H.vertices() if gamma.bit_count() & 1]
+        rows = _even_rows(M, odd)
+        members = H.members
+        outside = sorted(beta for beta in rows if not members >> beta & 1)
+        y_odd = _float_kernel_vector([rows[b] for b in outside], len(odd))
         y = dict(zip(odd, y_odd))
-        for beta, row in inside.items():
-            y[beta] = sum(val * y_odd[j] for j, val in row.items())
+        for beta, row in rows.items():
+            if members >> beta & 1:
+                y[beta] = sum(val * y_odd[j] for j, val in row.items())
     lam = mode.convert(w.pairing)
     keys = ((g, y[g] * y[g] * (lam if g.bit_count() & 1 else 1)) for g in sorted(y))
     best = _max_coordinate(keys)

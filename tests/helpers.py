@@ -23,7 +23,7 @@ from cubesense import (
     build_matrix,
 )
 from cubesense.exhaustive import _colex_from
-from cubesense.exterior import Scalar
+from cubesense.exterior import Scalar, _accumulate
 from cubesense.scalars import RationalLike, format_rational, sqrt_decompose
 from cubesense.witness import (
     InvariantViolation,
@@ -527,6 +527,68 @@ def oracle_square_deviation(
             worst = max(worst, abs(float(dev)))
             ok = ok and mode.within(dev, scale)
     return worst, ok
+
+
+def oracle_projector_checks(
+    M: SignedCubeMatrix, w: WeightConfig, mode: ScalarMode, num_vectors: int = 8, seed: int = 0
+) -> Tuple[float, bool]:
+    """``spectral_report``'s (projector_max_deviation, projector_ok) as it
+    was: ``s P vec`` built as its own list, and the eigen check forked on
+    ``c - d`` against ``c + d``."""
+    s = w.eigenvalue(mode)
+    half, s_inv = mode.convert(Fraction(1, 2)), 1 / s
+    rng = random.Random(seed)
+    worst = 0.0
+    ok = True
+    for _ in range(num_vectors):
+        vec = [
+            mode.convert(Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)))
+            for _ in range(M.size)
+        ]
+        scale = max(abs(float(x)) for x in vec)
+        image = M.apply(vec)
+        for sign in (1, -1):
+            once = oracle_combine(half, s_inv, vec, image, sign)
+            eigen_image = M.apply(once)
+            twice = oracle_combine(half, s_inv, once, eigen_image, sign)
+            s_once = [s * x for x in once]
+            for a, b, c, d in zip(once, twice, eigen_image, s_once):
+                for dev in (a - b, c - d if sign > 0 else c + d):
+                    if dev:
+                        worst = max(worst, abs(float(dev)))
+                        ok = ok and mode.within(dev, scale)
+    return worst, ok
+
+
+# -- the two antiderivations as separate loops ----------------------------------
+
+def oracle_interior_product(v: Sequence[Scalar], omega: Multivector) -> Multivector:
+    """``interior_product`` as it was: each set bit's position counted as
+    the loop meets it."""
+    out: Dict[int, Scalar] = {}
+    for mask, c in omega.items():
+        pos = 0
+        for b in range(omega.n):
+            if mask >> b & 1:
+                term = v[b] * c
+                _accumulate(out, mask ^ (1 << b), -term if pos % 2 else term)
+                pos += 1
+    return Multivector(omega.n, out)
+
+
+def oracle_wedge_lambda(lam: Sequence[Scalar], omega: Multivector) -> Multivector:
+    """``wedge_lambda`` as it was: a set bit counts one transposition and
+    is skipped, a clear bit is inserted."""
+    out: Dict[int, Scalar] = {}
+    for mask, c in omega.items():
+        transpositions = 0
+        for b in range(omega.n):
+            if mask & (1 << b):
+                transpositions += 1
+                continue
+            term = lam[b] * c
+            _accumulate(out, mask | (1 << b), -term if transpositions % 2 else term)
+    return Multivector(omega.n, out)
 
 
 # -- random generators ---------------------------------------------------------

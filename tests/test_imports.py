@@ -1,10 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no private helper outlives its last caller.
 
 Core claims:
     - every name a ``src/cubesense`` module imports is read somewhere in
       that module, in code or in a quoted annotation, so a helper that
       loses its last caller cannot leave its import behind
       (``__init__.py`` re-exports by design and is skipped)
+    - every private top-level function or class of ``src/cubesense`` is
+      named somewhere in ``src/cubesense`` outside its own definition;
+      the one exception is ``witness._restricted_rows``, the whole
+      restricted system that tests and the benchmark's reference recorder
+      keep as their oracle
 """
 
 import ast
@@ -52,3 +58,29 @@ def test_no_unused_imports():
         if stale:
             unused[path.name] = stale
     assert unused == {}
+
+
+ORACLES_KEPT_IN_SRC = {("witness.py", "_restricted_rows")}
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    unreferenced = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert sorted(unreferenced) == sorted(ORACLES_KEPT_IN_SRC)

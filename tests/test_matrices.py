@@ -285,6 +285,27 @@ def test_switching_detects_inequivalence():
     assert switching_equivalent(SignedCubeMatrix(2, tweaked), B) is None
 
 
+def test_switching_checks_edges_off_the_spanning_tree():
+    # B_3 on every tree edge (u & (u - 1), u), with the non-tree edge 1-3
+    # flipped: the diagonal the tree forces is B_3's own, and only the
+    # check over every edge can refuse it
+    n = 3
+    B = huang_matrix(n)
+    edge = {1, 3}
+
+    def tweaked(gamma, b):
+        sign = B._coeff(gamma, b)
+        return -sign if {gamma, gamma ^ (1 << b)} == edge else sign
+
+    M = SignedCubeMatrix(n, tweaked)
+    for u in range(1, 1 << n):
+        p = u & (u - 1)
+        assert M.entry(p, u) == B.entry(p, u) and M.entry(u, p) == B.entry(u, p)
+    assert M.entry(1, 3) == -B.entry(1, 3) and M.entry(3, 1) == -B.entry(3, 1)
+    assert switching_equivalent(M, B) is None
+    assert switching_equivalent(B, M) is None
+
+
 def test_four_cycle_products():
     for n in range(2, 7):
         assert four_cycle_products_negative(build_matrix(WeightConfig.uniform(n, 1, 1)))

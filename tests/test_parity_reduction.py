@@ -15,10 +15,12 @@ Core claims:
     - the edge cases E' empty (all even vertices plus one odd) and E empty
       but one (all odd vertices plus one even)
     - the size bound counts three copies of M[E', O] and refuses an
-      oversized float solve before its QR runs
+      oversized float solve before its QR runs, and before H's vertices
+      are listed
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -142,11 +144,11 @@ def exact_even_rows(M, H):
     """The exact-mode system: even rows ``M[beta, O] y_O - y_beta = 0`` over
     all of H's columns, with ``x_O = s y_O`` and ``x_E = y_E``."""
     columns = list(H.vertices())
-    inside, outside = _even_rows(M, H, columns)
+    rows = _even_rows(M, columns)
     for j, gamma in enumerate(columns):
         if gamma.bit_count() % 2 == 0:
-            inside.setdefault(gamma, {})[j] = -1
-    return list(outside.values()) + list(inside.values())
+            rows.setdefault(gamma, {})[j] = -1
+    return list(rows.values())
 
 
 def assert_same_nullity(w, H):
@@ -272,3 +274,19 @@ def test_size_bound_is_inclusive_and_checked_before_qr(monkeypatch):
     with pytest.raises(DenseSolveTooLargeError, match="bound"):
         run_pipeline(w, H, FLOAT)
     assert run_pipeline(w, H, ScalarMode.exact()).certified  # exact mode is not bounded
+
+
+def test_refused_float_solve_lists_no_vertices():
+    # |O| is counted from a stream of H's vertices: a list of H's 32769
+    # vertices alone would take over 1 MiB, one pass of the stream ~130 KiB
+    n = 16
+    H = InducedSubgraph(n, sample_mask(random.Random(0), 1 << n, (1 << (n - 1)) + 1))
+    w = WeightConfig.from_ratio(n, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseSolveTooLargeError, match="bound"):
+            positive_eigenvector_in_span(w, H, FLOAT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10
