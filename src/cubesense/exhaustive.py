@@ -5,19 +5,27 @@ random sample) and aggregates: the minimum over subsets of the max degree
 (with the smallest-rank subset reaching it), a histogram, and the count of
 bound violations (which must be zero).
 
-Subsets are bitmasks over the 2^n vertices. ``_plan_masks`` alone decides
-a plan's subsets in scan order: colexicographic order by Gosper's
-next-combination hack from a colex-unranked start (combinatorial number
-system), or the seeded sample with the draws before the start discarded.
-A shard job is ``(plan, start, stop)``, so each shard derives its own
-subsets. A shard packs each block of masks (up to ``BLOCK_BITS`` bits)
-side by side into one int and gets every mask's max degree from a single
-bit-sliced ``cube.degree_sets`` call, so each big-int operation serves
-the whole block.
+Subsets are bitmasks over the 2^n vertices, scanned in rank order: colex
+order for an exhaustive plan, draw order for a seeded sample. A shard
+job is ``(plan, start, stop)``, so each shard derives its own subsets. It
+packs them in blocks of up to ``BLOCK_BITS`` bits, one lane per subset,
+and gets every lane's max degree from a single bit-sliced
+``cube.degree_sets`` call, so each big-int operation serves the whole
+block.
+
+Colex order is numeric order, so an exhaustive plan's subsets fall into
+one contiguous rank interval per high half h (the vertices at or above
+2^(n-1)), h ascending, and within it the low halves are all
+(k - |h|)-subsets of the low vertices in colex order. Those are packed
+once per (n, k - |h|) in ``_low_table``, and a block is built from them
+as ``table_chunk | ones * (h << 2^(n-1))``: one big-int OR per chunk,
+not one step per subset. A seeded sample replays its draws from the
+plan's seed (``_plan_masks``) and packs them with ``_pack``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -27,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .cube import InducedSubgraph, check_dimension, degree_sets, lane_width
+from .cube import InducedSubgraph, check_dimension, degree_sets, iter_bits, lane_width
 from .exterior import WeightConfig
 from .scalars import EXACT_DEFAULT_LIMIT
 from .witness import InvariantViolation, run_pipeline
@@ -38,6 +46,11 @@ DEFAULT_BUDGET = 10**8
 # big-int operations, so larger blocks save little time and hold more
 # masks alive at once.
 BLOCK_BITS = 1 << 16
+# a packed low-half table of at most this many bits is kept for the life of
+# the process; a larger one is packed again for each high half that uses
+# it, one chunk at a time. Every table at n <= 5 fits (385 KiB for all of
+# n = 5's), while n = 12, k = 2 would keep 1 GiB.
+TABLE_BITS = 1 << 24
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes, standard size
 _BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes -> binary digits
 
@@ -204,18 +217,21 @@ def _pack(masks: List[int], n: int) -> int:
     return int.from_bytes(data, "little")
 
 
-def _scan_block(n: int, first_rank: int, masks: List[int], bound: int) -> _ShardResult:
-    """Statistics of one block of subsets (ranks first_rank, first_rank + 1,
-    ...), from one packed ``degree_sets`` call.
+def _lane_ones(n: int, count: int) -> int:
+    """A 1 at the bottom of each of ``count`` lanes."""
+    return int.from_bytes((1).to_bytes(lane_width(n) // 8, "little") * count, "little")
+
+
+def _scan_block(n: int, first_rank: int, packed: int, count: int, bound: int) -> _ShardResult:
+    """Statistics of ``count`` packed subsets (ranks first_rank,
+    first_rank + 1, ...), from one ``degree_sets`` call.
 
     A lane's flag is its top bit, set by ``((x & low) + low | x) & top``
     iff the lane of x is nonzero, so the popcount of the flags of
     ``at_least[d]`` counts the subsets of max degree at least d.
     """
     width = lane_width(n)
-    count = len(masks)
-    packed = _pack(masks, n)
-    ones = int.from_bytes((1).to_bytes(width // 8, "little") * count, "little")
+    ones = _lane_ones(n, count)
     top = ones << (width - 1)
     low = top - ones
     flags = [((x & low) + low | x) & top for x in degree_sets(packed, n)] + [0]
@@ -236,29 +252,113 @@ def _scan_block(n: int, first_rank: int, masks: List[int], bound: int) -> _Shard
 
 
 def _plan_masks(plan: EnumerationPlan, start: int) -> Iterator[int]:
-    """The plan's subsets in scan order from rank ``start``, whatever the
-    shard count: Gosper's hack from the colex-unranked start, or the seeded
-    sample after ``start`` skipped draws. Floyd's ``randrange`` bounds do
-    not depend on the draw, so a skipped draw builds no mask."""
-    if isinstance(plan.strategy, RandomSample):
-        rng, universe, size = random.Random(plan.strategy.seed), 1 << plan.n, plan.subset_size
-        for _ in range(start):
-            for j in range(universe - size, universe):
-                rng.randrange(j + 1)
-        return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan - start))
-    first = unrank_combination(start, plan.subset_size)
-    return islice(_colex_from(first), plan.total_to_scan - start)
+    """A seeded sample's subsets in scan order from rank ``start``,
+    whatever the shard count: the first ``start`` draws are skipped.
+    Floyd's ``randrange`` bounds do not depend on the draw, so a skipped
+    draw builds no mask."""
+    rng, universe, size = random.Random(plan.strategy.seed), 1 << plan.n, plan.subset_size
+    for _ in range(start):
+        for j in range(universe - size, universe):
+            rng.randrange(j + 1)
+    return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan - start))
+
+
+def _colex_rank(mask: int) -> int:
+    """The inverse of ``unrank_combination``: ``sum C(c_i, i)`` over the
+    set bits ``c_1 < c_2 < ...`` of mask."""
+    return sum(math.comb(b, i) for i, b in enumerate(iter_bits(mask), 1))
+
+
+def _low_chunks(n: int, c: int, lanes: int) -> Iterator[Tuple[int, int, int]]:
+    """Every c-subset of the low half's 2^(n-1) vertices in colex order,
+    packed ``lanes`` to a chunk: ``(chunk, ones, size)``, where ``ones``
+    has a 1 at the bottom of each of the chunk's lanes and ``size`` is
+    their length in bytes."""
+    masks = islice(_colex_from((1 << c) - 1), math.comb(1 << (n - 1), c))
+    full = _lane_ones(n, lanes)
+    while chunk := list(islice(masks, lanes)):
+        count = len(chunk)
+        ones = full if count == lanes else _lane_ones(n, count)
+        yield _pack(chunk, n), ones, count * lane_width(n) // 8
+
+
+@functools.cache
+def _low_table(n: int, c: int, lanes: int) -> Tuple[Tuple[int, int, int], ...]:
+    """``_low_chunks``, kept for the life of the process."""
+    return tuple(_low_chunks(n, c, lanes))
+
+
+def _high_halves(half: int, k: int, first: int) -> Iterator[int]:
+    """The high halves from ``first`` on, ascending, that leave 0 to
+    ``half`` of the k vertices to the low half: those with ``lo`` to ``hi``
+    bits. After h, h + 1 has at most one bit too many; clearing its lowest
+    set bit and carrying its lowest run of ones one place up then gives
+    the next mask with at most ``hi`` bits. One with too few bits gets
+    its lowest clear bits set."""
+    lo, hi, end = max(0, k - half), min(k, half), 1 << half
+    h = first
+    while h < end:
+        yield h
+        h += 1
+        if h.bit_count() > hi:
+            h &= h - 1
+            h += h & -h
+        for _ in range(lo - h.bit_count()):
+            h |= h + 1
+
+
+def _colex_blocks(
+    plan: EnumerationPlan, start: int, stop: int, lanes: int
+) -> Iterator[Tuple[int, int]]:
+    """An exhaustive plan's subsets of ranks start..stop-1, packed ``lanes``
+    to a block: ``(packed, count)``. Each high half h contributes its low
+    table's chunks with h ORed into every lane; the chunks' bytes are
+    cut into blocks, so a block may span several high halves."""
+    if start >= stop:
+        return
+    n, k = plan.n, plan.subset_size
+    half, step = 1 << (n - 1), lane_width(n) // 8
+    first = unrank_combination(start, k)
+    high = first >> half
+    tables = {
+        c: _low_table(n, c, lanes)
+        for c in range(max(0, k - half), min(k, half) + 1)
+        if math.comb(half, c) * step * 8 <= TABLE_BITS
+    }
+    # the bytes of h's group before start, dropped as they come
+    drop = _colex_rank(first & ((1 << half) - 1)) * step
+    remaining, want = (stop - start) * step, min(lanes, stop - start) * step
+    buf = bytearray()
+    for h in _high_halves(half, k, high):
+        c, spread = k - h.bit_count(), h << half
+        for chunk, ones, size in tables.get(c) or _low_chunks(n, c, lanes):
+            buf += (chunk | ones * spread).to_bytes(size, "little")
+            if drop:
+                dropped = min(drop, len(buf))
+                del buf[:dropped]
+                drop -= dropped
+            while len(buf) >= want:
+                yield int.from_bytes(buf[:want], "little"), want // step
+                del buf[:want]
+                remaining -= want
+                if not remaining:
+                    return
+                want = min(want, remaining)
 
 
 def _scan_shard(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
     plan, start, stop = job
     bound = plan.degree_bound()
-    block = max(1, BLOCK_BITS // lane_width(plan.n))
-    masks = _plan_masks(plan, start)
+    lanes = max(1, BLOCK_BITS // lane_width(plan.n))
+    if isinstance(plan.strategy, RandomSample):
+        masks = _plan_masks(plan, start)
+        chunks = (list(islice(masks, min(lanes, stop - at))) for at in range(start, stop, lanes))
+        blocks = ((_pack(chunk, plan.n), len(chunk)) for chunk in chunks)
+    else:
+        blocks = _colex_blocks(plan, start, stop, lanes)
     result = _ShardResult()
-    for first in range(start, stop, block):
-        chunk = list(islice(masks, min(block, stop - first)))
-        result.merge(_scan_block(plan.n, first, chunk, bound))
+    for packed, count in blocks:
+        result.merge(_scan_block(plan.n, start + result.checked, packed, count, bound))
     return result
 
 

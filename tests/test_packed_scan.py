@@ -9,12 +9,17 @@ Core claims:
       violations, minimum and argmin (the smallest rank) for exhaustive and
       random plans, below and above half the cube
     - block and shard boundaries change nothing, ties across them included
+    - an exhaustive plan packed from the low-half tables, one high half at
+      a time, gives every size at n <= 4 exactly, with blocks ending inside
+      table chunks and high halves, tables kept or packed again, ties
+      across a high-half boundary, and shard cuts inside one high half
     - the seeded draw equals the plain Floyd loop, and each shard streams
       its subsets from the plan from any start rank, building no mask for
       the draws before its start
 """
 
 import concurrent.futures
+import functools
 import math
 import random
 from unittest import mock
@@ -192,8 +197,18 @@ def test_sample_mask_matches_oracle(n):
             assert rng.getstate() == oracle_rng.getstate()
 
 
+def unpacked(n, blocks):
+    """The masks of packed ``(packed, count)`` blocks, lane by lane."""
+    width = lane_width(n)
+    lane = (1 << width) - 1
+    return [packed >> (i * width) & lane for packed, count in blocks for i in range(count)]
+
+
 def test_plan_masks_from_any_start():
-    # a shard starting at rank r scans exactly the stream's tail from r
+    # a shard starting at rank r scans exactly the stream's tail from r:
+    # the seeded draws replayed by _plan_masks, the exhaustive subsets
+    # packed from the low-half tables (in blocks of 3 lanes, which end
+    # inside high halves' groups)
     plans = [
         EnumerationPlan(3, 4),
         EnumerationPlan(4, 9, RandomSample(50, 3)),
@@ -203,9 +218,103 @@ def test_plan_masks_from_any_start():
         stream = plan_masks(plan)
         assert len(stream) == plan.total_to_scan
         for start in sorted({0, 1, 17, len(stream) - 1, len(stream)}):
-            assert list(exhaustive._plan_masks(plan, start)) == stream[start:], (plan, start)
+            if isinstance(plan.strategy, RandomSample):
+                tail = list(exhaustive._plan_masks(plan, start))
+            else:
+                tail = unpacked(plan.n, exhaustive._colex_blocks(plan, start, len(stream), 3))
+            assert tail == stream[start:], (plan, start)
         if isinstance(plan.strategy, RandomSample):
             assert random_masks(plan) == stream
+
+
+def high_groups(n, masks):
+    """The rank intervals [first, stop) of equal high halves in a colex list."""
+    half = 1 << (n - 1)
+    cuts = [0] + [r for r in range(1, len(masks)) if masks[r] >> half != masks[r - 1] >> half]
+    return list(zip(cuts, cuts[1:] + [len(masks)]))
+
+
+def shard_view(result):
+    return {
+        "subsets_checked": result.checked,
+        "min_max_degree": result.min_max_degree,
+        "argmin_subset": result.argmin_mask,
+        "histogram": dict(result.histogram),
+        "violations": result.violations,
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def colex_scan(n, size):
+    masks = oracle_colex(n, size)
+    return masks, oracle_scan(n, masks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lanes", [3, 7, 4096])
+@pytest.mark.parametrize("table_bits", [0, exhaustive.TABLE_BITS])
+def test_every_size_matches_oracle_across_chunks_and_high_halves(
+    monkeypatch, n, lanes, table_bits
+):
+    # 3 and 7 lanes to a block and to a table chunk: blocks end inside
+    # chunks and inside high halves' groups. table_bits = 0 keeps no
+    # table and packs every chunk again for each high half
+    monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
+    monkeypatch.setattr(exhaustive, "TABLE_BITS", table_bits)
+    longest = 0
+    for size in range(1, (1 << n) + 1):
+        masks, expected = colex_scan(n, size)
+        longest = max(longest, *(stop - first for first, stop in high_groups(n, masks)))
+        assert report_view(n, EnumerationPlan(n, size)) == expected, size
+    assert longest > lanes or n < 4 or lanes == 4096  # a chunk ends inside a group
+
+
+def test_tie_across_a_high_half_boundary(monkeypatch):
+    # consecutive subsets of the minimum max degree in adjacent high halves:
+    # whatever the block size, the earlier one is the argmin
+    n, size = 4, 9
+    plan, half = EnumerationPlan(n, size), 1 << (n - 1)
+    masks = oracle_colex(n, size)
+    degree = [oracle_max_degree(n, [u for u in range(1 << n) if m >> u & 1]) for m in masks]
+    tied = [r for r, d in enumerate(degree) if d == min(degree)]
+    pairs = [(i, j) for i, j in zip(tied, tied[1:]) if masks[i] >> half != masks[j] >> half]
+    assert pairs
+    for i, j in pairs[:4]:
+        boundary = next(first for first, stop in high_groups(n, masks) if i < first <= j)
+        for lanes in (1, 2, boundary - i, j + 1 - i):
+            monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
+            result = exhaustive._scan_shard((plan, i, j + 1))
+            assert (result.argmin_rank, result.argmin_mask) == (i, masks[i]), (i, j, lanes)
+            result = exhaustive._scan_shard((plan, boundary, j + 1))
+            assert (result.argmin_rank, result.argmin_mask) == (j, masks[j]), (i, j, lanes)
+
+
+@pytest.mark.parametrize("half", [1, 2, 4, 8])
+def test_high_halves_are_exactly_those_with_room(half):
+    # every high half leaving 0..half of the k vertices to the low half,
+    # ascending from any of them, and no other
+    for k in range(1, 2 * half + 1):
+        fits = [h for h in range(1 << half) if 0 <= k - h.bit_count() <= half]
+        for i in range(0, len(fits), max(1, len(fits) // 7)):
+            assert list(exhaustive._high_halves(half, k, fits[i])) == fits[i:], (k, fits[i])
+
+
+@pytest.mark.parametrize("n,size", [(3, 4), (4, 3), (4, 9), (4, 14), (5, 3)])
+def test_shard_cut_inside_a_high_half(monkeypatch, n, size):
+    # start and stop both fall inside one high half's group
+    plan = EnumerationPlan(n, size)
+    masks = oracle_colex(n, size)
+    groups = [(first, stop) for first, stop in high_groups(n, masks) if stop - first >= 4]
+    assert groups
+    for lanes in (2, 4096):
+        monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
+        for first, stop in groups[:: max(1, len(groups) // 5)]:
+            for start, end in ((first + 1, stop - 1), (first + 1, first + 2), (first + 2, stop)):
+                result = exhaustive._scan_shard((plan, start, end))
+                expected = oracle_scan(n, masks[start:end])
+                assert shard_view(result) == expected, (first, stop, start, end)
+                first_min = masks[start:end].index(expected["argmin_subset"])
+                assert result.argmin_rank == start + first_min
 
 
 @pytest.mark.parametrize("start, stop", [(0, 7), (13, 20), (49, 50)])
