@@ -28,6 +28,12 @@ from .scalars import ScalarMode, resolve_mode
 MATRIX_MAX_DIMENSION = 20  # n * 2^n nonzeros; beyond this matvec stops being sane
 
 
+def _check_matrix_dimension(n: int) -> None:
+    check_dimension(n)
+    if n > MATRIX_MAX_DIMENSION:
+        raise ValueError(f"matrix dimension capped at n={MATRIX_MAX_DIMENSION}")
+
+
 class SignedCubeMatrix:
     """A 2^n x 2^n matrix supported on cube edges, defined by an entry rule.
 
@@ -39,9 +45,7 @@ class SignedCubeMatrix:
     __slots__ = ("n", "_coeff")
 
     def __init__(self, n: int, coeff: Callable[[int, int], Scalar]) -> None:
-        check_dimension(n)
-        if n > MATRIX_MAX_DIMENSION:
-            raise ValueError(f"matrix dimension capped at n={MATRIX_MAX_DIMENSION}")
+        _check_matrix_dimension(n)
         self.n = n
         self._coeff = coeff
 
@@ -90,6 +94,13 @@ class SignedCubeMatrix:
             stream.write(f"{row} {col} {mode.format(value)}\n")
 
 
+def _entry_table(w: WeightConfig, mode: ScalarMode) -> tuple:
+    """A's entries indexed ``[parity][bit set][b]``, as ``build_matrix``
+    describes them."""
+    lam, v = w.lam_in(mode), w.v_in(mode)
+    return ((lam, v), (tuple(-x for x in lam), tuple(-x for x in v)))
+
+
 def build_matrix(w: WeightConfig, mode: ScalarMode | None = None) -> SignedCubeMatrix:
     """Materialize A in the standard basis (as an entry rule).
 
@@ -100,13 +111,30 @@ def build_matrix(w: WeightConfig, mode: ScalarMode | None = None) -> SignedCubeM
     a negative entry is not negated again on every call.
     """
     mode = resolve_mode(w.n, mode)
-    lam, v = w.lam_in(mode), w.v_in(mode)
-    table = ((lam, v), (tuple(-x for x in lam), tuple(-x for x in v)))
+    table = _entry_table(w, mode)
 
     def coeff(gamma: int, b: int) -> Scalar:
         return table[(gamma & ((1 << b) - 1)).bit_count() & 1][gamma >> b & 1][b]
 
     return SignedCubeMatrix(w.n, coeff)
+
+
+def float_entries(w: WeightConfig) -> Callable:
+    """``build_matrix``'s entry rule in float mode, on numpy arrays:
+    ``along(columns, b)`` gives ``M[gamma ^ (1 << b), gamma]`` for every
+    vertex ``gamma`` of the integer array ``columns``, read from the same
+    sign/magnitude table as ``coeff``. The dimension is capped as for
+    ``SignedCubeMatrix``."""
+    _check_matrix_dimension(w.n)
+    import numpy as np
+
+    table = np.array(_entry_table(w, ScalarMode.floating()))
+
+    def along(columns, b: int):
+        parity = np.bitwise_count(columns & ((1 << b) - 1)) & 1
+        return table[parity, columns >> b & 1, b]
+
+    return along
 
 
 def huang_matrix(n: int) -> SignedCubeMatrix:

@@ -17,26 +17,32 @@ hold by ``M^2 = lambda(v) I``. The restricted kernel is therefore exactly
 ``|O| - |E'| = |H| - 2^(n-1) >= 1`` more columns than rows, so a kernel
 vector always exists.
 
-Both modes solve only these even rows, built by ``_even_rows``, for a
-parity pair ``y`` with ``y_O`` in ``ker M[E', O]`` and
-``y_E = M[E, O] y_O``, so that ``x = y_E + s y_O``. Exact mode eliminates
-``[M[E' u E, O] | -I_E]`` over H's columns in vertex order, with the
-weights themselves as entries, over Q and takes the first free column's
-kernel vector ``y``. Up to scale, x is then the unique kernel vector whose
-last nonzero column comes earliest: dropping implied rows keeps the kernel
-and the column scaling moves no zero, so it is the vector a direct
-elimination of the whole system over Q(sqrt(d)) finds. Float mode takes
-``y_O`` from one Householder QR of the dense ``M[E', O]^T`` and refuses
-that solve before it allocates when it would exceed
-``FLOAT_SOLVE_MAX_BYTES``.
+Both modes solve only these even rows for a parity pair ``y`` with
+``y_O`` in ``ker M[E', O]`` and ``y_E = M[E, O] y_O``, so that
+``x = y_E + s y_O``. Exact mode eliminates ``[M[E' u E, O] | -I_E]``,
+built as dict rows by ``_even_rows``, over H's columns in vertex order,
+with the weights themselves as entries, over Q and takes the first free
+column's kernel vector ``y``. Up to scale, x is then the unique kernel
+vector whose last nonzero column comes earliest: dropping implied rows
+keeps the kernel and the column scaling moves no zero, so it is the vector
+a direct elimination of the whole system over Q(sqrt(d)) finds.
+
+Float mode works on numpy arrays indexed by vertex, one cube direction at
+a time, through ``matrices.float_entries``. It counts |O| by a popcount
+against the odd-vertex mask and refuses the solve, before it lists
+anything, when it would exceed ``FLOAT_SOLVE_MAX_BYTES``. Otherwise it
+fills the dense ``M[E', O]``, takes ``y_O`` from one Householder QR of its
+transpose, and gets ``y_E`` by one scatter-add per direction. Memory
+stays O(2^n) beside the dense block.
 
 Normalization and the certificate never touch s. Write the normalized
 eigenvector as ``omega = p + s q``, p on the max-coordinate vertex's
 parity and q on the other. A swaps parity and ``s^2 = lambda(v)``, so
 ``A omega = s omega`` holds exactly when the two identities ``A q = p``
 and ``A p = lambda(v) q`` do. Both are checked through the independent
-exterior path on every call, exactly or within tolerance; s enters only
-in the returned sum.
+exterior path on every call: exactly on Multivectors, or within
+tolerance on the float arrays through ``exterior.apply_A_array``, which
+reads nothing of ``matrices``. s enters only in the returned sum.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cube import DegreeProfile, InducedSubgraph, format_vertex
-from .exterior import Multivector, Scalar, WeightConfig, apply_A
-from .matrices import SignedCubeMatrix, build_matrix
+from .exterior import Multivector, Scalar, WeightConfig, apply_A, apply_A_array
+from .matrices import SignedCubeMatrix, build_matrix, float_entries
 from .scalars import ScalarMode, magnitude_key, resolve_mode
 
 FLOAT_SOLVE_MAX_BYTES = 1 << 29  # three float64 copies of M[E', O] for its QR, at most 512 MiB
@@ -193,36 +199,34 @@ def _first_kernel_vector(
     return None
 
 
-def _float_kernel_vector(rows: List[Dict[int, float]], num_cols: int) -> List[float]:
-    """A unit kernel vector of the dense matrix A with these sparse rows.
+def _float_kernel_vector(a):
+    """A unit kernel vector of the dense numpy matrix ``a``.
 
     The float path passes ``M[E', O]``, which has more columns than rows, so
-    the last column of Q in one Householder QR ``A^T = Q R`` is a kernel
-    vector whatever the rank: ``A Q e_last = R^T e_last = 0``, R's last row
+    the last column of Q in one Householder QR ``a^T = Q R`` is a kernel
+    vector whatever the rank: ``a Q e_last = R^T e_last = 0``, R's last row
     being zero. It is built by applying the reflectors to ``e_last``. With
-    no rows the first unit vector is returned; a system with no more columns
+    no rows the first unit vector is returned; a matrix with no more columns
     than rows raises ``NumericalRankError``. Nothing decides a rank, so no
     tolerance enters: the caller's eigen-residual check certifies.
     """
-    if not rows:
-        return [1.0] + [0.0] * (num_cols - 1)
-    if len(rows) >= num_cols:
-        raise NumericalRankError("no more columns than rows; rerun in exact mode")
     import numpy as np
 
-    a = np.zeros((len(rows), num_cols))
-    for i, row in enumerate(rows):
-        for j, val in row.items():
-            a[i, j] = val
+    num_rows, num_cols = a.shape
+    x = np.zeros(num_cols)
+    if not num_rows:
+        x[0] = 1.0
+        return x
+    if num_rows >= num_cols:
+        raise NumericalRankError("no more columns than rows; rerun in exact mode")
     # row j of h from column j on is reflector j once its head, R's diagonal, is set to 1
     h, tau = np.linalg.qr(a.T, mode="raw")
     np.fill_diagonal(h, 1.0)
-    x = np.zeros(num_cols)
     x[-1] = 1.0
     for j in range(len(tau) - 1, -1, -1):  # Q e_last = H_0 ... H_{r-1} e_last
         v = h[j, j:]
         x[j:] -= tau[j] * (v @ x[j:]) * v
-    return x.tolist()
+    return x
 
 
 def _check_float_solve_size(H: InducedSubgraph, num_cols: int) -> None:
@@ -267,32 +271,21 @@ def positive_eigenvector_in_span(
         raise ValueError(f"dimension mismatch: weights n={w.n}, subgraph n={H.n}")
     _require_large(H)
     mode = resolve_mode(H.n, mode)
-    if mode.is_exact:
-        M = build_matrix(w, mode)
-        columns = list(H.vertices())
-        # row beta reads M[beta, O] y_O - y_beta = 0
-        rows = _even_rows(M, columns)
-        for j, gamma in enumerate(columns):
-            if not gamma.bit_count() & 1:
-                rows.setdefault(gamma, {})[j] = -1
-        solution = _first_kernel_vector([rows[b] for b in sorted(rows)], len(columns))
-        if solution is None:
-            raise InvariantViolation(
-                "no kernel vector in span(H) although |H| > 2^(n-1)"
-            )
-        y = dict(zip(columns, solution))
-    else:
-        _check_float_solve_size(H, sum(gamma.bit_count() & 1 for gamma in H.vertices()))
-        M = build_matrix(w, mode)
-        odd = [gamma for gamma in H.vertices() if gamma.bit_count() & 1]
-        rows = _even_rows(M, odd)
-        members = H.members
-        outside = sorted(beta for beta in rows if not members >> beta & 1)
-        y_odd = _float_kernel_vector([rows[b] for b in outside], len(odd))
-        y = dict(zip(odd, y_odd))
-        for beta, row in rows.items():
-            if members >> beta & 1:
-                y[beta] = sum(val * y_odd[j] for j, val in row.items())
+    if not mode.is_exact:
+        return _float_eigenvector(w, H, mode)
+    M = build_matrix(w, mode)
+    columns = list(H.vertices())
+    # row beta reads M[beta, O] y_O - y_beta = 0
+    rows = _even_rows(M, columns)
+    for j, gamma in enumerate(columns):
+        if not gamma.bit_count() & 1:
+            rows.setdefault(gamma, {})[j] = -1
+    solution = _first_kernel_vector([rows[b] for b in sorted(rows)], len(columns))
+    if solution is None:
+        raise InvariantViolation(
+            "no kernel vector in span(H) although |H| > 2^(n-1)"
+        )
+    y = dict(zip(columns, solution))
     lam = mode.convert(w.pairing)
     keys = ((g, y[g] * y[g] * (lam if g.bit_count() & 1 else 1)) for g in sorted(y))
     best = _max_coordinate(keys)
@@ -311,18 +304,98 @@ def positive_eigenvector_in_span(
 def _certify_eigenpair(
     w: WeightConfig, H: InducedSubgraph, p: Multivector, q: Multivector, mode: ScalarMode
 ) -> None:
-    """Raise unless p and q live on H, ``A q = p`` and ``A p = lambda(v) q``
-    through the exterior path: exactly in exact mode, within ``tol`` of
-    each target in float mode."""
+    """Raise unless p and q live on H and ``A q = p``, ``A p = lambda(v) q``
+    hold exactly through the exterior path."""
     if any(beta not in H for beta in p.support() + q.support()):
         raise InvariantViolation("eigenvector support escapes H")
     lam = mode.convert(w.pairing)
     for image, target in ((apply_A(w, q, mode), p), (apply_A(w, p, mode), q.scaled(lam))):
-        residual = image - target
-        if mode.is_exact:
-            if not residual.is_zero:
-                raise InvariantViolation("exact eigenvector residual is nonzero")
-        elif not mode.within(residual.sup_norm_float(), target.sup_norm_float()):
+        if not (image - target).is_zero:
+            raise InvariantViolation("exact eigenvector residual is nonzero")
+
+
+def _odd_mask(n: int) -> int:
+    """The 2^n-bit set of Q_n's odd vertices, in n doublings: the vertices
+    with bit k set have the other parity of those below 2^k."""
+    mask = 0
+    for k in range(n):
+        half = 1 << k
+        mask |= (mask ^ ((1 << half) - 1)) << half
+    return mask
+
+
+def _bool_array(mask: int, size: int):
+    """The bitset ``mask`` as a numpy bool array indexed by vertex."""
+    import numpy as np
+
+    raw = np.frombuffer(mask.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
+
+
+def _float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) -> Multivector:
+    """``positive_eigenvector_in_span`` in float mode, on numpy arrays
+    indexed by vertex and one cube direction at a time: the block
+    ``M[E', O]`` for the QR, ``y_E = M[E, O] y_O``, the pick of beta, the
+    split into p and q and their certificate. |O| is counted and the solve
+    size checked before anything is listed."""
+    odd_mask = _odd_mask(H.n)
+    _check_float_solve_size(H, (H.members & odd_mask).bit_count())
+    along = float_entries(w)
+    import numpy as np
+
+    n, size = H.n, 1 << H.n
+    inside, odd_flag = _bool_array(H.members, size), _bool_array(odd_mask, size)
+    odd = np.flatnonzero(inside & odd_flag)
+    reached = np.zeros(size, dtype=bool)
+    for b in range(n):
+        reached[odd ^ (1 << b)] = True
+    # E' in ascending order; an even vertex with no odd neighbour in H gets no row
+    outside = np.flatnonzero(reached & ~inside)
+    row_of = np.full(size, -1)
+    row_of[outside] = np.arange(len(outside))
+    block = np.zeros((len(outside), len(odd)))
+    for b in range(n):
+        rows = row_of[odd ^ (1 << b)]
+        hit = rows >= 0
+        block[rows[hit], np.flatnonzero(hit)] = along(odd, b)[hit]
+    y = np.zeros(size)
+    y[odd] = _float_kernel_vector(block)
+    # each even row adds its odd columns in ascending order, as the dict rows
+    # did, so the sums round alike: the lower neighbours by descending b,
+    # then the upper ones by ascending b
+    image = np.zeros(size)
+    for bit_set, directions in ((0, reversed(range(n))), (1, range(n))):
+        for b in directions:
+            cols = odd[(odd >> b & 1) == bit_set]
+            image[cols ^ (1 << b)] += along(cols, b) * y[cols]
+    y += np.where(inside, image, 0.0)
+
+    lam = mode.convert(w.pairing)
+    keys = y * y * np.where(odd_flag, lam, 1.0)
+    beta = int(np.argmax(keys))
+    if keys[beta] == 0:
+        raise InvariantViolation("kernel vector is zero")
+    pivot = y[beta]
+    same = odd_flag == odd_flag[beta]
+    p = np.where(same, y / pivot, 0.0)
+    q = np.where(same, 0.0, y / (pivot * lam if odd_flag[beta] else pivot))
+    _certify_float_eigenpair(w, inside, p, q, mode)
+    omega = p + w.eigenvalue(mode) * q
+    support = np.flatnonzero(omega)
+    return Multivector(n, dict(zip(support.tolist(), omega[support].tolist())))
+
+
+def _certify_float_eigenpair(w: WeightConfig, inside, p, q, mode: ScalarMode) -> None:
+    """Raise unless the vertex-indexed arrays p and q vanish outside H
+    (``inside``) and ``A q = p``, ``A p = lambda(v) q`` hold within ``tol``
+    of each target's sup norm, through the exterior path's array form."""
+    import numpy as np
+
+    if np.any(((p != 0) | (q != 0)) & ~inside):
+        raise InvariantViolation("eigenvector support escapes H")
+    lam = mode.convert(w.pairing)
+    for image, target in ((apply_A_array(w, q), p), (apply_A_array(w, p), lam * q)):
+        if not mode.within(float(np.abs(image - target).max()), float(np.abs(target).max())):
             raise NumericalRankError(
                 "float eigenvector residual exceeds tolerance; rerun in exact mode"
             )

@@ -20,6 +20,7 @@ from cubesense import (
     ScalarMode,
     SignedCubeMatrix,
     WeightConfig,
+    apply_A,
     build_matrix,
 )
 from cubesense.exhaustive import _colex_from
@@ -28,7 +29,9 @@ from cubesense.scalars import RationalLike, format_rational, sqrt_decompose
 from cubesense.witness import (
     InvariantViolation,
     NumericalRankError,
+    _even_rows,
     _first_kernel_vector,
+    _float_kernel_vector,
     _max_coordinate,
     _restricted_rows,
 )
@@ -451,6 +454,56 @@ def oracle_float_kernel_vector(
             f"against {singular[0]:.3e}; rerun in exact mode"
         )
     return [float(x) for x in vt[-1]]
+
+
+def oracle_float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) -> Multivector:
+    """``positive_eigenvector_in_span``'s float branch on dict rows, as it
+    was: ``M[E', O]`` and ``M[E, O]`` from ``_even_rows``, the E' rows
+    filled into a dense block for the same QR, then the pick, the split and
+    the certificate over dicts, the certificate through the dict walk of
+    ``apply_A``."""
+    import numpy as np
+
+    M = build_matrix(w, mode)
+    odd = [gamma for gamma in H.vertices() if gamma.bit_count() & 1]
+    rows = _even_rows(M, odd)
+    members = H.members
+    outside = sorted(beta for beta in rows if not members >> beta & 1)
+    block = np.zeros((len(outside), len(odd)))
+    for i, beta in enumerate(outside):
+        for j, val in rows[beta].items():
+            block[i, j] = val
+    y_odd = _float_kernel_vector(block).tolist()
+    y = dict(zip(odd, y_odd))
+    for beta, row in rows.items():
+        if members >> beta & 1:
+            y[beta] = sum(val * y_odd[j] for j, val in row.items())
+    lam = mode.convert(w.pairing)
+    best = _max_coordinate((g, y[g] * y[g] * (lam if g.bit_count() & 1 else 1)) for g in sorted(y))
+    if best is None or best[1] == 0:
+        raise InvariantViolation("kernel vector is zero")
+    beta = best[0]
+    parity = beta.bit_count() & 1
+    pivot = y[beta]
+    q_pivot = pivot * lam if parity else pivot
+    p = Multivector(H.n, {g: v / pivot for g, v in y.items() if g.bit_count() & 1 == parity})
+    q = Multivector(H.n, {g: v / q_pivot for g, v in y.items() if g.bit_count() & 1 != parity})
+    if any(g not in H for g in p.support() + q.support()):
+        raise InvariantViolation("eigenvector support escapes H")
+    for image, target in ((apply_A(w, q, mode), p), (apply_A(w, p, mode), q.scaled(lam))):
+        if not mode.within((image - target).sup_norm_float(), target.sup_norm_float()):
+            raise NumericalRankError("float eigenvector residual exceeds tolerance")
+    return p + q.scaled(w.eigenvalue(mode))
+
+
+def as_array(omega: Multivector):
+    """A float multivector as the dense numpy array of its 2^n coefficients."""
+    import numpy as np
+
+    x = np.zeros(1 << omega.n)
+    for mask, c in omega.items():
+        x[mask] = c
+    return x
 
 
 def oracle_rational_rows(

@@ -1,4 +1,5 @@
-"""Float kernel vector: one Householder QR of A^T against the SVD oracle.
+"""Float kernel vector: one Householder QR of a dense A^T against the SVD
+oracle. The systems are drawn as sparse rows and handed over dense.
 
 Core claims:
     - for wide sparse systems (full rank, duplicate rows, zero rows, one
@@ -42,10 +43,10 @@ def dense(rows, num_cols):
 def check_against_oracle(rows, num_cols):
     """Returns True when the kernel is one-dimensional, so the vector was
     compared with the oracle's too."""
-    x = np.array(_float_kernel_vector(rows, num_cols))
+    a = dense(rows, num_cols)
+    x = _float_kernel_vector(a)
     assert x.shape == (num_cols,)
     assert abs(np.linalg.norm(x) - 1.0) <= RESIDUAL_TOL
-    a = dense(rows, num_cols)
     norm_a = np.linalg.norm(a, 2) if rows else 0.0
     assert np.linalg.norm(a @ x) <= RESIDUAL_TOL * max(1.0, norm_a) * np.linalg.norm(x)
 
@@ -123,7 +124,7 @@ def test_cube_blocks_against_oracle(n):
 
 
 def test_no_rows_give_the_first_unit_vector():
-    assert _float_kernel_vector([], 4) == [1.0, 0.0, 0.0, 0.0]
+    assert _float_kernel_vector(np.zeros((0, 4))).tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -136,7 +137,7 @@ def test_no_rows_give_the_first_unit_vector():
 )
 def test_no_more_columns_than_rows_is_refused(rows, num_cols):
     with pytest.raises(NumericalRankError):
-        _float_kernel_vector(rows, num_cols)
+        _float_kernel_vector(dense(rows, num_cols))
 
 
 entry = st.sampled_from((0.0, 0.0, 0.0, 1.0, -1.0, 0.5, -2.0, 3.0))

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no private helper outlives its last caller.
+no private helper outlives its last caller, and the exact paths never load
+numpy.
 
 Core claims:
     - every name a ``src/cubesense`` module imports is read somewhere in
@@ -11,9 +12,15 @@ Core claims:
       the one exception is ``witness._restricted_rows``, the whole
       restricted system that tests and the benchmark's reference recorder
       keep as their oracle
+    - ``import cubesense``, an exact ``witness`` and an exact
+      ``verify-operator`` at n = 4 leave numpy unloaded: only the float
+      path imports it, so exact runs do not pay its start-up time
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cubesense"
@@ -84,3 +91,27 @@ def test_no_unreferenced_private_definitions():
         and node.name not in referenced
     ]
     assert sorted(unreferenced) == sorted(ORACLES_KEPT_IN_SRC)
+
+
+NUMPY_FREE = """
+import contextlib, io, sys
+import cubesense
+from cubesense import cli
+assert "numpy" not in sys.modules, "import cubesense"
+for argv in (
+    ["witness", "--n", "4", "--subgraph", "random:9:0", "--mode", "exact"],
+    ["verify-operator", "--n", "4", "--a", "2", "--b", "3", "--mode", "exact"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_exact_paths_never_load_numpy():
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -14,13 +14,16 @@ Core claims:
       at most one multiplication (by s) per irrational coordinate
     - each identity of the certificate is load-bearing: pairs that break
       one of ``A q = p`` and ``A p = lambda(v) q``, or drop the lambda(v)
-      factor, are refused in both modes
+      factor, are refused in both modes, on Multivectors in exact mode and
+      on vertex-indexed arrays in float mode
+    - a genuine eigenpair whose support leaves H is refused in both modes
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,9 +41,9 @@ from cubesense import (
 )
 from cubesense.exhaustive import sample_mask
 from cubesense.scalars import format_exact
-from cubesense.witness import _certify_eigenpair
+from cubesense.witness import _certify_eigenpair, _certify_float_eigenpair
 
-from helpers import edge_subgraphs, oracle_quadratic_eigenvector, random_weights
+from helpers import as_array, edge_subgraphs, oracle_quadratic_eigenvector, random_weights
 
 RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -143,6 +146,16 @@ def holds(mode, image, target):
     return mode.within((image - target).sup_norm_float(), target.sup_norm_float())
 
 
+def certify(w, H, p, q, mode):
+    """The pipeline's certificate for the mode: on Multivectors in exact
+    mode, on arrays indexed by vertex in float mode."""
+    if mode.is_exact:
+        _certify_eigenpair(w, H, p, q, mode)
+    else:
+        inside = np.array([u in H for u in range(1 << H.n)])
+        _certify_float_eigenpair(w, inside, as_array(p), as_array(q), mode)
+
+
 @pytest.mark.parametrize("mode", [ScalarMode.exact(), ScalarMode.floating()], ids=["exact", "float"])
 def test_certificate_identities_are_load_bearing(mode):
     """The second identity's residual is A applied to the first's (A^2 is
@@ -155,7 +168,7 @@ def test_certificate_identities_are_load_bearing(mode):
     H = InducedSubgraph(2, 0b1111)
     q = Multivector(2, {0b01: mode.convert(1), 0b10: mode.convert(1)})
     p = apply_A(w, q, mode)  # 2/1000 at 00: A(e_01 + e_10) cancels at 11
-    _certify_eigenpair(w, H, p, q, mode)
+    certify(w, H, p, q, mode)
     small, large = mode.convert(Fraction(1, 2 * 10**9)), mode.convert(Fraction(1, 10**8))
     only_first = (p + Multivector(2, {0b00: small}), q)
     only_second = (p + Multivector(2, {0b11: large}), q)
@@ -170,4 +183,14 @@ def test_certificate_identities_are_load_bearing(mode):
     error = InvariantViolation if mode.is_exact else NumericalRankError
     for p_bad, q_bad in (only_first, only_second, lam_dropped):
         with pytest.raises(error):
-            _certify_eigenpair(w, H, p_bad, q_bad, mode)
+            certify(w, H, p_bad, q_bad, mode)
+
+
+@pytest.mark.parametrize("mode", [ScalarMode.exact(), ScalarMode.floating()], ids=["exact", "float"])
+def test_certificate_refuses_support_outside_h(mode):
+    w = WeightConfig.uniform(2)
+    q = Multivector(2, {0b01: mode.convert(1)})
+    p = apply_A(w, q, mode)  # e_00 - e_11, and A p = 2 q
+    certify(w, InducedSubgraph.from_vertices(2, [0b00, 0b01, 0b11]), p, q, mode)
+    with pytest.raises(InvariantViolation, match="escapes"):
+        certify(w, InducedSubgraph.from_vertices(2, [0b00, 0b01, 0b10]), p, q, mode)

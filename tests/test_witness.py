@@ -20,6 +20,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cubesense import (
@@ -301,9 +302,8 @@ def test_float_mode_matches_exact():
 
 def test_float_rank_detection_failure():
     # a plainly full-rank system must be refused, pointing at exact mode
-    rows = [{0: 1.0}, {1: 1.0}]
     with pytest.raises(NumericalRankError):
-        _float_kernel_vector(rows, 2)
+        _float_kernel_vector(np.identity(2))
 
 
 def test_exact_kernel_of_full_rank_system_is_none():
