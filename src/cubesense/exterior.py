@@ -146,23 +146,23 @@ def _antiderivation(coords: Sequence[Scalar], omega: Multivector, removes: bool)
     return Multivector(omega.n, out)
 
 
-def _antiderivation_array(coords: Sequence[float], x, removes: bool):
+def _antiderivation_array(coords: Sequence[float], x, odd, removes: bool):
     """``_antiderivation`` on a dense float array ``x`` indexed by basis
     form. Its sign ``(-1)^#{i in S : i < b}`` depends, for one direction b,
-    only on the bits below b, so x is viewed as (high bits, bit b, low
-    bits) and one pass per direction moves every term. A target collects
+    only on the bits below b, whose parity ``odd`` holds (``odd[S]`` is the
+    parity of ``|S|``), so x is viewed as (high bits, bit b, low bits) and
+    one pass per direction moves every term. A target collects
     its terms in the order the dict walk adds them, lowest source form
     first (ascending b for ``i_v``, descending for ``lambda ^``), so both
     round alike."""
     import numpy as np
 
     n = len(x).bit_length() - 1
-    odd_low = np.bitwise_count(np.arange(len(x) // 2)) & 1
     src, dst = (1, 0) if removes else (0, 1)
     out = np.zeros(len(x))
     for b in range(n) if removes else reversed(range(n)):
         half = 1 << b
-        signed = np.where(odd_low[:half], -coords[b], coords[b])
+        signed = np.where(odd[:half], -coords[b], coords[b])
         out.reshape(-1, 2, half)[:, dst] += signed * x.reshape(-1, 2, half)[:, src]
     return out
 
@@ -270,12 +270,14 @@ def apply_A(
     return interior_product(w.v_in(mode), omega) + wedge_lambda(w.lam_in(mode), omega)
 
 
-def apply_A_array(w: WeightConfig, x):
+def apply_A_array(w: WeightConfig, x, odd):
     """``apply_A`` in float mode on a dense numpy array of the ``2^n``
     coefficients indexed by basis form; returns ``A x`` the same way, equal
-    to the dict walk's result bit for bit. Memory stays O(2^n)."""
+    to the dict walk's result bit for bit. ``odd`` is the bool array of the
+    parities of ``|S|`` for every basis form S, built once by the caller.
+    Memory stays O(2^n)."""
     if len(x) != 1 << w.n:
         raise ValueError(f"coefficient array of length {len(x)} does not match n={w.n}")
     mode = ScalarMode.floating()
-    return (_antiderivation_array(w.v_in(mode), x, removes=True)
-            + _antiderivation_array(w.lam_in(mode), x, removes=False))
+    return (_antiderivation_array(w.v_in(mode), x, odd, removes=True)
+            + _antiderivation_array(w.lam_in(mode), x, odd, removes=False))

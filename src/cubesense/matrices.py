@@ -119,19 +119,22 @@ def build_matrix(w: WeightConfig, mode: ScalarMode | None = None) -> SignedCubeM
     return SignedCubeMatrix(w.n, coeff)
 
 
-def float_entries(w: WeightConfig) -> Callable:
+def float_entries(w: WeightConfig, odd) -> Callable:
     """``build_matrix``'s entry rule in float mode, on numpy arrays:
     ``along(columns, b)`` gives ``M[gamma ^ (1 << b), gamma]`` for every
     vertex ``gamma`` of the integer array ``columns``, read from the same
-    sign/magnitude table as ``coeff``. The dimension is capped as for
-    ``SignedCubeMatrix``."""
+    sign/magnitude table as ``coeff``. ``odd`` is the bool array of vertex
+    parities over ``0 .. 2^n - 1``, built once by the caller; the sign
+    parity of ``gamma`` below ``b`` is ``odd[gamma mod 2^b]``. The
+    dimension is capped as for ``SignedCubeMatrix``."""
     _check_matrix_dimension(w.n)
     import numpy as np
 
     table = np.array(_entry_table(w, ScalarMode.floating()))
 
     def along(columns, b: int):
-        parity = np.bitwise_count(columns & ((1 << b) - 1)) & 1
+        # a bool index array would select, not index: read the parities as 0/1
+        parity = odd[columns & ((1 << b) - 1)].view(np.uint8)
         return table[parity, columns >> b & 1, b]
 
     return along

@@ -32,8 +32,10 @@ a time, through ``matrices.float_entries``. It counts |O| by a popcount
 against the odd-vertex mask and refuses the solve, before it lists
 anything, when it would exceed ``FLOAT_SOLVE_MAX_BYTES``. Otherwise it
 fills the dense ``M[E', O]``, takes ``y_O`` from one Householder QR of its
-transpose, and gets ``y_E`` by one scatter-add per direction. Memory
-stays O(2^n) beside the dense block.
+transpose, and gets ``y_E`` by one scatter-add per direction. The same
+mask, as a bool array, hands both array rules their sign parities, so
+the parity rule lives here alone. Memory stays O(2^n) beside the dense
+block.
 
 Normalization and the certificate never touch s. Write the normalized
 eigenvector as ``omega = p + s q``, p on the max-coordinate vertex's
@@ -340,11 +342,11 @@ def _float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) ->
     size checked before anything is listed."""
     odd_mask = _odd_mask(H.n)
     _check_float_solve_size(H, (H.members & odd_mask).bit_count())
-    along = float_entries(w)
     import numpy as np
 
     n, size = H.n, 1 << H.n
     inside, odd_flag = _bool_array(H.members, size), _bool_array(odd_mask, size)
+    along = float_entries(w, odd_flag)
     odd = np.flatnonzero(inside & odd_flag)
     reached = np.zeros(size, dtype=bool)
     for b in range(n):
@@ -379,22 +381,26 @@ def _float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) ->
     same = odd_flag == odd_flag[beta]
     p = np.where(same, y / pivot, 0.0)
     q = np.where(same, 0.0, y / (pivot * lam if odd_flag[beta] else pivot))
-    _certify_float_eigenpair(w, inside, p, q, mode)
+    _certify_float_eigenpair(w, inside, odd_flag, p, q, mode)
     omega = p + w.eigenvalue(mode) * q
     support = np.flatnonzero(omega)
     return Multivector(n, dict(zip(support.tolist(), omega[support].tolist())))
 
 
-def _certify_float_eigenpair(w: WeightConfig, inside, p, q, mode: ScalarMode) -> None:
+def _certify_float_eigenpair(
+    w: WeightConfig, inside, odd_flag, p, q, mode: ScalarMode
+) -> None:
     """Raise unless the vertex-indexed arrays p and q vanish outside H
     (``inside``) and ``A q = p``, ``A p = lambda(v) q`` hold within ``tol``
-    of each target's sup norm, through the exterior path's array form."""
+    of each target's sup norm, through the exterior path's array form, which
+    reads its signs from the vertex parities ``odd_flag``."""
     import numpy as np
 
     if np.any(((p != 0) | (q != 0)) & ~inside):
         raise InvariantViolation("eigenvector support escapes H")
     lam = mode.convert(w.pairing)
-    for image, target in ((apply_A_array(w, q), p), (apply_A_array(w, p), lam * q)):
+    for x, target in ((q, p), (p, lam * q)):
+        image = apply_A_array(w, x, odd_flag)
         if not mode.within(float(np.abs(image - target).max()), float(np.abs(target).max())):
             raise NumericalRankError(
                 "float eigenvector residual exceeds tolerance; rerun in exact mode"

@@ -48,6 +48,11 @@ FLOAT = ScalarMode.floating()
 RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
+def parities(n):
+    """The bool array of vertex parities, from the scalar popcount."""
+    return np.array([u.bit_count() & 1 for u in range(1 << n)], dtype=bool)
+
+
 def weight_configs(rng, n):
     return [WeightConfig.from_ratio(n, ratio) for ratio in RATIOS] + [random_weights(rng, n)]
 
@@ -60,7 +65,7 @@ def test_float_entries_match_build_matrix(n):
     columns = np.arange(1 << n)
     for w in weight_configs(rng, n):
         M = build_matrix(w, FLOAT)
-        along = float_entries(w)
+        along = float_entries(w, parities(n))
         for b in range(n):
             expected = [M.entry(gamma ^ (1 << b), gamma) for gamma in range(1 << n)]
             assert along(columns, b).tolist() == expected
@@ -75,7 +80,7 @@ def test_apply_A_array_matches_dict_walk(n):
         dense = {mask: rng.uniform(-3.0, 3.0) for mask in range(1 << n)}
         for coeffs in (sparse, dense):
             omega = Multivector(n, coeffs)
-            fast = apply_A_array(w, as_array(omega))
+            fast = apply_A_array(w, as_array(omega), parities(n))
             assert fast.tolist() == as_array(apply_A(w, omega, FLOAT)).tolist()
 
 

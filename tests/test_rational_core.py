@@ -153,7 +153,8 @@ def certify(w, H, p, q, mode):
         _certify_eigenpair(w, H, p, q, mode)
     else:
         inside = np.array([u in H for u in range(1 << H.n)])
-        _certify_float_eigenpair(w, inside, as_array(p), as_array(q), mode)
+        odd = np.array([u.bit_count() & 1 for u in range(1 << H.n)], dtype=bool)
+        _certify_float_eigenpair(w, inside, odd, as_array(p), as_array(q), mode)
 
 
 @pytest.mark.parametrize("mode", [ScalarMode.exact(), ScalarMode.floating()], ids=["exact", "float"])
