@@ -33,10 +33,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         pos = find("1", pos + 1)
 
 
-def adjacent(u: int, v: int) -> bool:
-    return (u ^ v).bit_count() == 1
-
-
 def lane_width(n: int) -> int:
     """Bits per packed subset: one per vertex, padded to whole bytes."""
     return max(8, 1 << n)
@@ -77,27 +73,6 @@ def degree_sets(members: int, n: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Step:
-    """A directed cube edge: coordinate (1-based) gained (up) or lost."""
-
-    up: bool
-    coordinate: int
-
-    def reversed(self) -> "Step":
-        return Step(not self.up, self.coordinate)
-
-
-def direction(u: int, v: int) -> Optional[Step]:
-    """Classify the pair: Step(up=True, k) if v = u plus coordinate k,
-    Step(up=False, k) if v = u minus coordinate k, None if not adjacent."""
-    diff = u ^ v
-    if diff.bit_count() != 1:
-        return None
-    k = diff.bit_length()  # 1-based coordinate of the changed bit
-    return Step(up=bool(v & diff), coordinate=k)
-
-
-@dataclass(frozen=True)
 class DegreeProfile:
     """Induced degrees of one vertex, split by edge direction."""
 
@@ -135,11 +110,6 @@ class InducedSubgraph:
             members |= 1 << u
         return cls(n, members)
 
-    @classmethod
-    def full_cube(cls, n: int) -> "InducedSubgraph":
-        check_dimension(n)
-        return cls(n, (1 << (1 << n)) - 1)
-
     @property
     def cardinality(self) -> int:
         return self.members.bit_count()
@@ -176,11 +146,6 @@ class InducedSubgraph:
         degree = max(k for k, vertices in enumerate(at_least) if vertices)
         top = at_least[degree]
         return (top & -top).bit_length() - 1, degree
-
-    def complemented(self) -> "InducedSubgraph":
-        """Flip every coordinate of every vertex (reverses all edge directions)."""
-        full = (1 << self.n) - 1
-        return InducedSubgraph.from_vertices(self.n, (u ^ full for u in self.vertices()))
 
     def to_lines(self) -> list[str]:
         return [format_vertex(u, self.n) for u in self.vertices()]

@@ -30,6 +30,7 @@ import math
 import os
 import random
 import struct
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import islice
@@ -460,13 +461,15 @@ def cross_check_with_witness(plan: EnumerationPlan, sample: int) -> CrossCheckRe
     Samples ranks without replacement from the plan's subset pool (seeded
     by the plan's strategy, or 0 for exhaustive plans); sample == pool size
     reproduces the full cross product. ``random.sample`` draws the ranks,
-    so a pool over ``sys.maxsize`` subsets raises OverflowError.
+    so a pool over ``sys.maxsize`` subsets is refused with ValueError.
     """
     if plan.n > EXACT_DEFAULT_LIMIT:
         raise ValueError(f"cross-check is limited to n <= {EXACT_DEFAULT_LIMIT}")
     pool_size = plan.total_to_scan
     if not 1 <= sample <= pool_size:
         raise ValueError(f"sample must be in [1, {pool_size}]")
+    if pool_size > sys.maxsize:
+        raise ValueError(f"cannot draw ranks from a pool of {pool_size} subsets, over sys.maxsize")
     pool = random_masks(plan) if isinstance(plan.strategy, RandomSample) else None
     seed = plan.strategy.seed if pool is not None else 0
     chosen = sorted(random.Random(seed).sample(range(pool_size), sample))

@@ -41,24 +41,8 @@ class Multivector:
         self._coeffs = store
 
     @classmethod
-    def zero(cls, n: int) -> "Multivector":
-        return cls(n, {})
-
-    @classmethod
     def basis(cls, n: int, mask: int) -> "Multivector":
         return cls(n, {mask: Fraction(1)})
-
-    @classmethod
-    def from_dense(cls, n: int, values: Sequence[Scalar]) -> "Multivector":
-        if len(values) != 1 << n:
-            raise ValueError(f"dense coefficient vector must have length {1 << n}")
-        return cls(n, dict(enumerate(values)))
-
-    def to_dense(self) -> list:
-        out: list = [0] * (1 << self.n)
-        for mask, c in self._coeffs.items():
-            out[mask] = c
-        return out
 
     def coefficient(self, mask: int) -> Scalar:
         return self._coeffs.get(mask, 0)
@@ -75,11 +59,6 @@ class Multivector:
 
     def degrees(self) -> set:
         return {mask.bit_count() for mask in self._coeffs}
-
-    def degree_component(self, k: int) -> "Multivector":
-        return Multivector(
-            self.n, {m: c for m, c in self._coeffs.items() if m.bit_count() == k}
-        )
 
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check_same(other)
@@ -104,9 +83,6 @@ class Multivector:
 
     def __hash__(self) -> int:
         return hash((self.n, tuple(self.items())))
-
-    def sup_norm_float(self) -> float:
-        return max((abs(float(c)) for c in self._coeffs.values()), default=0.0)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{m:0{self.n}b}: {c}" for m, c in self.items())
@@ -245,10 +221,6 @@ class WeightConfig:
     @property
     def sup_v(self) -> Fraction:
         return max(abs(b) for b in self.v)
-
-    @property
-    def is_uniform(self) -> bool:
-        return len(set(self.lam)) == 1 and len(set(self.v)) == 1
 
     def lam_in(self, mode: ScalarMode) -> tuple:
         return tuple(mode.convert(a) for a in self.lam)

@@ -53,10 +53,6 @@ class SignedCubeMatrix:
     def size(self) -> int:
         return 1 << self.n
 
-    @property
-    def nnz(self) -> int:
-        return self.n << self.n
-
     def entry(self, row: int, col: int) -> Scalar:
         diff = row ^ col
         if diff.bit_count() != 1:

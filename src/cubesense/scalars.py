@@ -304,12 +304,12 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadraticScalar:
 
 
 def magnitude_key(value: "ScalarLike | float") -> "ScalarLike | float":
-    """A key ordered like ``|value|``: a float as it is, an exact value by its
-    square, which for ``(a + b*sqrt(d)) / c`` with ``a*b == 0`` is the
-    Fraction ``(a^2 + d*b^2) / c^2``."""
+    """A key ordered like ``|value|``: a float by its absolute value, an
+    exact value by its square, which for ``(a + b*sqrt(d)) / c`` with
+    ``a*b == 0`` is the Fraction ``(a^2 + d*b^2) / c^2``."""
     if isinstance(value, QuadraticScalar) and not (value._a and value._b):
         return Fraction(value._a ** 2 + value._d * value._b ** 2, value._c ** 2)
-    return value if isinstance(value, float) else value * value
+    return abs(value) if isinstance(value, float) else value * value
 
 
 def format_exact(value: ScalarLike) -> str:

@@ -51,7 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cube import DegreeProfile, InducedSubgraph, format_vertex
 from .exterior import Multivector, Scalar, WeightConfig, apply_A, apply_A_array
@@ -247,16 +248,6 @@ def _check_float_solve_size(H: InducedSubgraph, num_cols: int) -> None:
         )
 
 
-def _max_coordinate(pairs: Iterable[Tuple[int, Scalar]]) -> Optional[Tuple[int, Scalar]]:
-    """The first (vertex, value) pair of largest magnitude; None if empty."""
-    best = best_abs = None
-    for vertex, val in pairs:
-        mag = abs(val)
-        if best_abs is None or mag > best_abs:
-            best, best_abs = (vertex, val), mag
-    return best
-
-
 def positive_eigenvector_in_span(
     w: WeightConfig, H: InducedSubgraph, mode: Optional[ScalarMode] = None
 ) -> Multivector:
@@ -290,7 +281,7 @@ def positive_eigenvector_in_span(
     y = dict(zip(columns, solution))
     lam = mode.convert(w.pairing)
     keys = ((g, y[g] * y[g] * (lam if g.bit_count() & 1 else 1)) for g in sorted(y))
-    best = _max_coordinate(keys)
+    best = max(keys, key=itemgetter(1), default=None)
     if best is None or best[1] == 0:
         raise InvariantViolation("kernel vector is zero")
     beta = best[0]
@@ -432,7 +423,7 @@ def extract_witness(
     if any(beta not in H for beta in omega.support()):
         raise ValueError("eigenvector support is not contained in H")
 
-    beta = _max_coordinate((g, magnitude_key(c)) for g, c in omega.items())[0]
+    beta = max(((g, magnitude_key(c)) for g, c in omega.items()), key=itemgetter(1))[0]
     coord = omega.coefficient(beta)
     if coord < 0:
         coord = -coord  # flip omega so the witness coordinate is positive

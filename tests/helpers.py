@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from cubesense import (
     InducedSubgraph,
@@ -32,7 +32,6 @@ from cubesense.witness import (
     _even_rows,
     _first_kernel_vector,
     _float_kernel_vector,
-    _max_coordinate,
     _restricted_rows,
 )
 
@@ -267,6 +266,17 @@ class OracleQuadraticScalar:
 
 # -- combinatorial oracles ----------------------------------------------------
 
+def full_cube(n: int) -> InducedSubgraph:
+    """Every vertex of Q_n."""
+    return InducedSubgraph(n, (1 << (1 << n)) - 1)
+
+
+def complemented(H: InducedSubgraph) -> InducedSubgraph:
+    """Flip every coordinate of every vertex (reverses all edge directions)."""
+    full = (1 << H.n) - 1
+    return InducedSubgraph.from_vertices(H.n, (u ^ full for u in H.vertices()))
+
+
 def oracle_max_degree(n: int, subset: Iterable[int]) -> int:
     vertices = set(subset)
     return max(
@@ -349,6 +359,26 @@ def to_dense(M: SignedCubeMatrix) -> List[List]:
     return [[M.entry(r, c) for c in range(M.size)] for r in range(M.size)]
 
 
+def dense_coefficients(omega: Multivector) -> List:
+    """The 2^n coefficients of ``omega``, indexed by basis form."""
+    return [omega.coefficient(mask) for mask in range(1 << omega.n)]
+
+
+def sup_norm(omega: Multivector) -> float:
+    """The largest ``|coefficient|`` of ``omega`` as a float; 0 if it is zero."""
+    return max((abs(float(c)) for _, c in omega.items()), default=0.0)
+
+
+def max_coordinate(pairs: Iterable[Tuple[int, Scalar]]) -> Optional[Tuple[int, Scalar]]:
+    """The first (vertex, value) pair of largest ``|value|``; None if empty."""
+    best = best_abs = None
+    for vertex, val in pairs:
+        mag = abs(val)
+        if best_abs is None or mag > best_abs:
+            best, best_abs = (vertex, val), mag
+    return best
+
+
 def dense_matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> List[List]:
     size = len(A)
     return [
@@ -409,7 +439,7 @@ def charpoly(matrix: Sequence[Sequence]) -> List[Fraction]:
 def _normalize_max_coordinate(values: List[Scalar]) -> List[Scalar]:
     """Scale so the max-magnitude coordinate (first, i.e. smallest column,
     on ties) becomes exactly +1."""
-    best = _max_coordinate(enumerate(values))
+    best = max_coordinate(enumerate(values))
     if best is None or best[1] == 0:
         raise InvariantViolation("kernel vector is zero")
     return [val / best[1] for val in values]
@@ -479,7 +509,7 @@ def oracle_float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMo
         if members >> beta & 1:
             y[beta] = sum(val * y_odd[j] for j, val in row.items())
     lam = mode.convert(w.pairing)
-    best = _max_coordinate((g, y[g] * y[g] * (lam if g.bit_count() & 1 else 1)) for g in sorted(y))
+    best = max_coordinate((g, y[g] * y[g] * (lam if g.bit_count() & 1 else 1)) for g in sorted(y))
     if best is None or best[1] == 0:
         raise InvariantViolation("kernel vector is zero")
     beta = best[0]
@@ -491,7 +521,7 @@ def oracle_float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMo
     if any(g not in H for g in p.support() + q.support()):
         raise InvariantViolation("eigenvector support escapes H")
     for image, target in ((apply_A(w, q, mode), p), (apply_A(w, p, mode), q.scaled(lam))):
-        if not mode.within((image - target).sup_norm_float(), target.sup_norm_float()):
+        if not mode.within(sup_norm(image - target), sup_norm(target)):
             raise NumericalRankError("float eigenvector residual exceeds tolerance")
     return p + q.scaled(w.eigenvalue(mode))
 

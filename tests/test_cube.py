@@ -1,8 +1,8 @@
-"""Boolean cube graph: adjacency, directions, induced degrees, parsing.
+"""Boolean cube graph: induced degrees split by edge direction, parsing.
 
 Core claims:
-    - adjacency is popcount(xor) == 1; direction splits it by the gained bit
-    - degree profiles count in/out neighbors inside the subgraph
+    - degree profiles count in/out neighbors inside the subgraph, and
+      complementing every vertex swaps the two counts
     - max_degree breaks ties toward the smallest bitmask
     - the handshake parity and full-cube degree identities hold
     - the one-vertex-per-line text format round-trips
@@ -15,40 +15,13 @@ import pytest
 
 from cubesense import (
     InducedSubgraph,
-    Step,
-    adjacent,
-    direction,
     format_vertex,
     parse_subgraph,
     parse_vertex,
 )
 from cubesense.cube import iter_bits
 
-from helpers import oracle_iter_bits
-
-
-def test_adjacent_basics():
-    assert adjacent(0b001, 0b011)
-    assert not adjacent(0b001, 0b010)
-    assert not adjacent(0b101, 0b101)
-
-
-def test_direction_basics():
-    assert direction(0b000, 0b010) == Step(up=True, coordinate=2)
-    assert direction(0b110, 0b100) == Step(up=False, coordinate=2)
-    assert direction(0b100, 0b011) is None
-
-
-def test_direction_antisymmetry_random():
-    rng = random.Random(5)
-    for _ in range(500):
-        n = rng.randrange(1, 10)
-        u = rng.randrange(1 << n)
-        v = rng.randrange(1 << n)
-        step = direction(u, v)
-        assert adjacent(u, v) == (step is not None)
-        if step is not None:
-            assert direction(v, u) == step.reversed()
+from helpers import complemented, full_cube, oracle_iter_bits
 
 
 def test_degree_profile_examples():
@@ -59,7 +32,7 @@ def test_degree_profile_examples():
     lone = InducedSubgraph.from_vertices(2, [0b00])
     assert lone.degree_profile(0b00).degree == 0
 
-    q3 = InducedSubgraph.full_cube(3)
+    q3 = full_cube(3)
     bottom = q3.degree_profile(0b000)
     assert (bottom.indegree, bottom.outdegree, bottom.degree) == (0, 3, 3)
 
@@ -73,7 +46,7 @@ def test_degree_profile_requires_membership():
 def test_max_degree_examples():
     assert InducedSubgraph.from_vertices(2, [0b00, 0b01, 0b11]).max_degree() == (0b01, 2)
     # full cube: all degrees equal, smallest bitmask wins
-    assert InducedSubgraph.full_cube(3).max_degree() == (0b000, 3)
+    assert full_cube(3).max_degree() == (0b000, 3)
     # even-weight vertices of Q_3 form an independent set
     evens = InducedSubgraph.from_vertices(3, [0b000, 0b011, 0b101, 0b110])
     assert evens.max_degree() == (0b000, 0)
@@ -93,7 +66,7 @@ def test_handshake_parity_random():
 
 def test_full_cube_degree_identities():
     for n in range(1, 7):
-        H = InducedSubgraph.full_cube(n)
+        H = full_cube(n)
         for u in H.vertices():
             profile = H.degree_profile(u)
             assert profile.degree == n
@@ -110,7 +83,7 @@ def test_cardinality_and_largeness():
 
 def test_complemented_reverses_directions():
     H = InducedSubgraph.from_vertices(3, [0b000, 0b001, 0b011, 0b111, 0b101])
-    flipped = H.complemented()
+    flipped = complemented(H)
     for u in H.vertices():
         p = H.degree_profile(u)
         q = flipped.degree_profile(u ^ 0b111)

@@ -11,6 +11,7 @@ Core claims:
 
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -262,3 +263,13 @@ def test_cross_check_validation():
         cross_check_with_witness(EnumerationPlan(n=13, subset_size=2, budget=10**10), 1)
     with pytest.raises(ValueError):
         cross_check_with_witness(EnumerationPlan(n=2), sample=0)
+
+
+def test_cross_check_refuses_pools_past_sys_maxsize():
+    # random.sample draws ranks from a range, whose length must fit a C ssize_t
+    with pytest.raises(ValueError, match="sys.maxsize"):
+        cross_check_with_witness(EnumerationPlan(7, budget=10**40), 2)
+    # C(64, 33) ~ 1.8e18 subsets still fits under sys.maxsize and is drawn from
+    plan = EnumerationPlan(6, budget=10**19)
+    assert plan.total_to_scan <= sys.maxsize
+    assert cross_check_with_witness(plan, 1).to_json_dict() == {"checked": 1, "consistent": 1}

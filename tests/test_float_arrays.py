@@ -42,7 +42,7 @@ from cubesense.exterior import apply_A_array
 from cubesense.matrices import float_entries
 from cubesense.witness import _odd_mask
 
-from helpers import as_array, edge_subgraphs, oracle_float_eigenvector, random_weights
+from helpers import as_array, edge_subgraphs, full_cube, oracle_float_eigenvector, random_weights
 
 FLOAT = ScalarMode.floating()
 RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
@@ -143,4 +143,4 @@ def test_odd_mask_holds_the_odd_vertices(n):
 def test_float_solve_past_the_matrix_cap_is_refused():
     # the whole cube admits the solve (E' is empty), and the cap still holds
     with pytest.raises(ValueError, match="capped at n=20"):
-        positive_eigenvector_in_span(WeightConfig.uniform(21), InducedSubgraph.full_cube(21), FLOAT)
+        positive_eigenvector_in_span(WeightConfig.uniform(21), full_cube(21), FLOAT)

@@ -43,7 +43,7 @@ from cubesense.exhaustive import sample_mask
 from cubesense.scalars import format_exact
 from cubesense.witness import _certify_eigenpair, _certify_float_eigenpair
 
-from helpers import as_array, edge_subgraphs, oracle_quadratic_eigenvector, random_weights
+from helpers import as_array, edge_subgraphs, oracle_quadratic_eigenvector, random_weights, sup_norm
 
 RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -143,7 +143,7 @@ LOPSIDED = 1000  # lambda = 1000, v = 1/1000
 
 
 def holds(mode, image, target):
-    return mode.within((image - target).sup_norm_float(), target.sup_norm_float())
+    return mode.within(sup_norm(image - target), sup_norm(target))
 
 
 def certify(w, H, p, q, mode):

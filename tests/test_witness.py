@@ -43,10 +43,17 @@ from cubesense.witness import (
     NumericalRankError,
     _first_kernel_vector,
     _float_kernel_vector,
-    _max_coordinate,
 )
 
-from helpers import dense_matvec, oracle_max_degree, to_dense
+from helpers import (
+    complemented,
+    dense_coefficients,
+    dense_matvec,
+    full_cube,
+    max_coordinate,
+    oracle_max_degree,
+    to_dense,
+)
 
 ROOT2 = QuadraticScalar.sqrt_of(2)
 
@@ -54,7 +61,7 @@ ROOT2 = QuadraticScalar.sqrt_of(2)
 def assert_is_eigenvector(w, omega, H):
     """Independent check: dense matvec equals s * omega, support inside H."""
     dense = to_dense(build_matrix(w))
-    vec = omega.to_dense()
+    vec = dense_coefficients(omega)
     s = w.eigenvalue()
     image = dense_matvec(dense, vec)
     assert image == [s * x for x in vec]
@@ -67,7 +74,7 @@ def test_one_dimensional_example():
     w = WeightConfig.uniform(1, 1, 1)
     omega = positive_eigenvector_in_span(w, H)
     # s = 1; the kernel of [[-1, 1], [1, -1]] is spanned by (1, 1)
-    assert omega.to_dense() == [1, 1]
+    assert dense_coefficients(omega) == [1, 1]
     report = extract_witness(w, H, omega)
     assert report.to_json_dict() == {
         "n": 1,
@@ -109,9 +116,9 @@ def test_two_dimensional_example():
 def test_full_cube_uses_projector_image():
     # span(H) is everything: P_+ e*_0, rescaled, is itself a valid witness
     w = WeightConfig.uniform(3, 1, 1)
-    H = InducedSubgraph.full_cube(3)
+    H = full_cube(3)
     split = EigenSplit(build_matrix(w), w)
-    basis0 = Multivector.basis(3, 0).to_dense()
+    basis0 = dense_coefficients(Multivector.basis(3, 0))
     image = split.project(basis0, +1)
     top = max(image, key=abs)
     omega = Multivector(3, {i: x / top for i, x in enumerate(image)})
@@ -155,7 +162,7 @@ def test_extract_witness_validates_input():
     H = InducedSubgraph.from_vertices(2, [0b00, 0b01, 0b11])
     w = WeightConfig.uniform(2, 1, 1)
     with pytest.raises(ValueError):
-        extract_witness(w, H, Multivector.zero(2))
+        extract_witness(w, H, Multivector(2, {}))
     with pytest.raises(ValueError):
         extract_witness(w, H, Multivector.basis(2, 0b10))
     with pytest.raises(ValueError):
@@ -173,13 +180,17 @@ def test_extract_witness_validates_input():
         ({0b00: -2 * ROOT2, 0b01: Fraction(-5, 2), 0b10: 2 + ROOT2}, 0b10),
         ({0b00: Fraction(1, 2) * ROOT2, 0b01: -1, 0b11: -Fraction(1, 2) * ROOT2}, 0b01),
         ({0b00: 2, 0b01: -2}, 0b00),  # ties go to the first vertex
+        # floats are keyed by |value|: a signed key would pick 0b11 here
+        ({0b00: 0.5, 0b01: -2.0, 0b11: 1.5}, 0b01),
+        ({0b00: -2.0, 0b01: 2.0}, 0b00),
     ],
 )
 def test_extract_witness_picks_largest_magnitude(coords, beta):
-    H = InducedSubgraph.full_cube(2)
+    H = full_cube(2)
     omega = Multivector(2, coords)
-    assert _max_coordinate(omega.items())[0] == beta  # the abs rule it replaced
-    report = extract_witness(WeightConfig.uniform(2, 1, 1), H, omega)
+    assert max_coordinate(omega.items())[0] == beta  # the abs rule it replaced
+    mode = ScalarMode.floating() if isinstance(coords[beta], float) else None
+    report = extract_witness(WeightConfig.uniform(2, 1, 1), H, omega, mode)
     assert report.beta == beta
     assert report.omega_beta == abs(coords[beta])
 
@@ -195,7 +206,7 @@ def test_random_runs_certify_and_verify():
         assert_is_eigenvector(w, omega, H)
         report = extract_witness(w, H, omega)
         assert report.certified
-        assert report.beta == _max_coordinate(omega.items())[0]
+        assert report.beta == max_coordinate(omega.items())[0]
         # witness degree never beats the combinatorial maximum
         assert report.profile.degree <= H.max_degree()[1]
 
@@ -218,17 +229,17 @@ def test_every_kernel_vector_certifies():
     # full cube the positive eigenspace has dimension 4 and each projected
     # basis vector is a distinct kernel vector
     w = WeightConfig.uniform(3, 1, 1)
-    H = InducedSubgraph.full_cube(3)
+    H = full_cube(3)
     split = EigenSplit(build_matrix(w), w)
     seen = set()
     for start in range(8):
-        image = split.project(Multivector.basis(3, start).to_dense(), +1)
+        image = split.project(dense_coefficients(Multivector.basis(3, start)), +1)
         omega = Multivector(3, dict(enumerate(image)))
         if omega.is_zero:
             continue
         report = extract_witness(w, H, omega)
         assert report.certified
-        assert report.beta == _max_coordinate(omega.items())[0]
+        assert report.beta == max_coordinate(omega.items())[0]
         seen.add(report.beta)
     assert len(seen) > 1  # genuinely different kernel vectors were certified
 
@@ -276,7 +287,7 @@ def test_weighted_scan_complement_symmetry():
     H = InducedSubgraph(3, sample_mask(rng, 8, 5))
     for ratio in [Fraction(1, 2), Fraction(3), Fraction(5, 4)]:
         direct = weighted_scan(H, [ratio])[0]
-        mirrored = weighted_scan(H.complemented(), [1 / ratio])[0]
+        mirrored = weighted_scan(complemented(H), [1 / ratio])[0]
         assert direct.certified and mirrored.certified
         assert mirrored.beta == direct.beta ^ 0b111
         assert (mirrored.profile.indegree, mirrored.profile.outdegree) == (
