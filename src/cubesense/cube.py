@@ -76,7 +76,6 @@ def degree_sets(members: int, n: int) -> list[int]:
 class DegreeProfile:
     """Induced degrees of one vertex, split by edge direction."""
 
-    vertex: int
     indegree: int   # neighbors gamma in H with gamma -> vertex
     outdegree: int  # neighbors gamma in H with vertex -> gamma
 
@@ -135,7 +134,7 @@ class InducedSubgraph:
                     indeg += 1  # gamma = beta minus coordinate b+1, so gamma -> beta
                 else:
                     outdeg += 1
-        return DegreeProfile(beta, indeg, outdeg)
+        return DegreeProfile(indeg, outdeg)
 
     def max_degree(self) -> tuple[int, int]:
         """Vertex of maximum induced degree and that degree; ties take the

@@ -254,14 +254,12 @@ def _scan_block(n: int, first_rank: int, packed: int, count: int, bound: int) ->
 
 def _plan_masks(plan: EnumerationPlan, start: int) -> Iterator[int]:
     """A seeded sample's subsets in scan order from rank ``start``,
-    whatever the shard count: the first ``start`` draws are skipped.
-    Floyd's ``randrange`` bounds do not depend on the draw, so a skipped
-    draw builds no mask."""
+    whatever the shard count: the first ``start`` draws are made and
+    dropped, so the draw order lives in ``sample_mask`` alone. A draw's
+    mask costs little beside its ``randrange`` calls."""
     rng, universe, size = random.Random(plan.strategy.seed), 1 << plan.n, plan.subset_size
-    for _ in range(start):
-        for j in range(universe - size, universe):
-            rng.randrange(j + 1)
-    return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan - start))
+    draws = (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan))
+    return islice(draws, start, None)
 
 
 def _colex_rank(mask: int) -> int:

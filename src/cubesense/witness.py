@@ -19,13 +19,15 @@ vector always exists.
 
 Both modes solve only these even rows for a parity pair ``y`` with
 ``y_O`` in ``ker M[E', O]`` and ``y_E = M[E, O] y_O``, so that
-``x = y_E + s y_O``. Exact mode eliminates ``[M[E' u E, O] | -I_E]``,
-built as dict rows by ``_even_rows``, over H's columns in vertex order,
-with the weights themselves as entries, over Q and takes the first free
-column's kernel vector ``y``. Up to scale, x is then the unique kernel
-vector whose last nonzero column comes earliest: dropping implied rows
-keeps the kernel and the column scaling moves no zero, so it is the vector
-a direct elimination of the whole system over Q(sqrt(d)) finds.
+``x = y_E + s y_O``. Exact mode builds ``[M[E' u E, O] | -I_E]`` in one
+pass over H's vertices, as dict rows keyed by vertex: an odd vertex adds
+its column of M, an even one its -1. It eliminates over Q, with the
+weights themselves as entries and the columns in vertex order, and takes
+the first free column's kernel vector ``y``. Up to scale, x is then the
+unique kernel vector whose last nonzero column comes earliest: dropping
+implied rows keeps the kernel and the column scaling moves no zero, so it
+is the vector a direct elimination of the whole system over Q(sqrt(d))
+finds.
 
 Float mode works on numpy arrays indexed by vertex, one cube direction at
 a time, through ``matrices.float_entries``. It counts |O| by a popcount
@@ -146,43 +148,32 @@ def _restricted_rows(
     return [rows[beta] for beta in sorted(rows)]
 
 
-def _even_rows(M: SignedCubeMatrix, columns: Sequence[int]) -> Dict[int, Dict[int, Scalar]]:
-    """Rows ``M[beta, O]`` for every even ``beta``, keyed by the odd
-    columns' positions in ``columns``. An even vertex with no odd neighbour
-    among the columns gets no row."""
-    rows: Dict[int, Dict[int, Scalar]] = {}
-    for j, gamma in enumerate(columns):
-        if gamma.bit_count() & 1:
-            for beta, val in M.column(gamma):
-                rows.setdefault(beta, {})[j] = val
-    return rows
-
-
 def _first_kernel_vector(
-    rows: List[Dict[int, Scalar]], num_cols: int
-) -> Optional[List[Scalar]]:
-    """Exact kernel vector for the first free column, columns ascending.
+    rows: List[Dict[int, Scalar]], columns: Sequence[int]
+) -> Optional[Dict[int, Scalar]]:
+    """Exact kernel vector ``{column: value}`` for the first free column,
+    the columns taken in the ascending order given.
 
-    Forward elimination keeps rows sparse as dicts; when a column has no
-    pivot among the remaining rows it is free, its coefficient is set to 1
-    and the pivot columns are back-substituted. Returns None when every
-    column carries a pivot (trivial restricted kernel).
+    Rows are sparse dicts keyed by column, and forward elimination keeps
+    them so; when a column has no pivot among the remaining rows it is
+    free, its coefficient is set to 1 and the pivot columns are
+    back-substituted. The columns after it are 0 and left out. Returns
+    None when every column carries a pivot (trivial restricted kernel).
     """
     active = [dict(r) for r in rows]
     pivots: List[Tuple[int, Dict[int, Scalar]]] = []
-    for col in range(num_cols):
+    for col in columns:
         pivot_row: Optional[Dict[int, Scalar]] = None
         for idx, row in enumerate(active):
             if row.get(col):
                 pivot_row = active.pop(idx)
                 break
         if pivot_row is None:
-            solution: List[Scalar] = [Fraction(0)] * num_cols
-            solution[col] = Fraction(1)
+            solution: Dict[int, Scalar] = {col: Fraction(1)}
             for pcol, prow in reversed(pivots):
                 acc: Scalar = Fraction(0)
                 for c, val in prow.items():
-                    if c > pcol and solution[c] != 0:
+                    if c != pcol and solution.get(c):
                         acc = acc + val * solution[c]
                 solution[pcol] = -acc / prow[pcol]
             return solution
@@ -268,17 +259,19 @@ def positive_eigenvector_in_span(
         return _float_eigenvector(w, H, mode)
     M = build_matrix(w, mode)
     columns = list(H.vertices())
-    # row beta reads M[beta, O] y_O - y_beta = 0
-    rows = _even_rows(M, columns)
-    for j, gamma in enumerate(columns):
-        if not gamma.bit_count() & 1:
-            rows.setdefault(gamma, {})[j] = -1
-    solution = _first_kernel_vector([rows[b] for b in sorted(rows)], len(columns))
-    if solution is None:
+    # row beta reads M[beta, O] y_O - y_beta = 0, for every even beta
+    rows: Dict[int, Dict[int, Scalar]] = {}
+    for gamma in columns:
+        if gamma.bit_count() & 1:
+            for beta, val in M.column(gamma):
+                rows.setdefault(beta, {})[gamma] = val
+        else:
+            rows.setdefault(gamma, {})[gamma] = -1
+    y = _first_kernel_vector([rows[b] for b in sorted(rows)], columns)
+    if y is None:
         raise InvariantViolation(
             "no kernel vector in span(H) although |H| > 2^(n-1)"
         )
-    y = dict(zip(columns, solution))
     lam = mode.convert(w.pairing)
     keys = ((g, y[g] * y[g] * (lam if g.bit_count() & 1 else 1)) for g in sorted(y))
     best = max(keys, key=itemgetter(1), default=None)
@@ -303,7 +296,7 @@ def _certify_eigenpair(
         raise InvariantViolation("eigenvector support escapes H")
     lam = mode.convert(w.pairing)
     for image, target in ((apply_A(w, q, mode), p), (apply_A(w, p, mode), q.scaled(lam))):
-        if not (image - target).is_zero:
+        if image != target:
             raise InvariantViolation("exact eigenvector residual is nonzero")
 
 
@@ -418,13 +411,13 @@ def extract_witness(
         raise ValueError(
             f"dimension mismatch: weights n={w.n}, subgraph n={H.n}, omega n={omega.n}"
         )
-    if omega.is_zero:
+    items = omega.items()
+    if not items:
         raise ValueError("eigenvector is zero")
-    if any(beta not in H for beta in omega.support()):
+    if any(g not in H for g, _ in items):
         raise ValueError("eigenvector support is not contained in H")
 
-    beta = max(((g, magnitude_key(c)) for g, c in omega.items()), key=itemgetter(1))[0]
-    coord = omega.coefficient(beta)
+    beta, coord = max(items, key=lambda item: magnitude_key(item[1]))
     if coord < 0:
         coord = -coord  # flip omega so the witness coordinate is positive
 

@@ -29,8 +29,6 @@ from cubesense.scalars import RationalLike, format_rational, sqrt_decompose
 from cubesense.witness import (
     InvariantViolation,
     NumericalRankError,
-    _even_rows,
-    _first_kernel_vector,
     _float_kernel_vector,
     _restricted_rows,
 )
@@ -445,13 +443,92 @@ def _normalize_max_coordinate(values: List[Scalar]) -> List[Scalar]:
     return [val / best[1] for val in values]
 
 
+def oracle_even_rows(M: SignedCubeMatrix, columns: Sequence[int]) -> Dict[int, Dict[int, Scalar]]:
+    """Rows ``M[beta, O]`` for every even ``beta``, keyed by the odd
+    columns' positions in ``columns``. An even vertex with no odd neighbour
+    among the columns gets no row. This is the position-keyed row builder
+    both witness modes once shared."""
+    rows: Dict[int, Dict[int, Scalar]] = {}
+    for j, gamma in enumerate(columns):
+        if gamma.bit_count() & 1:
+            for beta, val in M.column(gamma):
+                rows.setdefault(beta, {})[j] = val
+    return rows
+
+
+def oracle_first_kernel_vector(
+    rows: List[Dict[int, Scalar]], num_cols: int
+) -> Optional[List[Scalar]]:
+    """Exact kernel vector for the first free column, columns ascending,
+    with rows keyed by column position and a dense solution: the
+    eliminator the vertex-keyed one replaced.
+
+    Forward elimination keeps rows sparse as dicts; when a column has no
+    pivot among the remaining rows it is free, its coefficient is set to 1
+    and the pivot columns are back-substituted. Returns None when every
+    column carries a pivot (trivial restricted kernel).
+    """
+    active = [dict(r) for r in rows]
+    pivots: List[Tuple[int, Dict[int, Scalar]]] = []
+    for col in range(num_cols):
+        pivot_row: Optional[Dict[int, Scalar]] = None
+        for idx, row in enumerate(active):
+            if row.get(col):
+                pivot_row = active.pop(idx)
+                break
+        if pivot_row is None:
+            solution: List[Scalar] = [Fraction(0)] * num_cols
+            solution[col] = Fraction(1)
+            for pcol, prow in reversed(pivots):
+                acc: Scalar = Fraction(0)
+                for c, val in prow.items():
+                    if c > pcol and solution[c] != 0:
+                        acc = acc + val * solution[c]
+                solution[pcol] = -acc / prow[pcol]
+            return solution
+        pivots.append((col, pivot_row))
+        pivot_val = pivot_row[col]
+        for row in active:
+            val = row.get(col)
+            if not val:
+                continue
+            factor = val / pivot_val
+            for c, pval in pivot_row.items():
+                updated = row.get(c, 0) - factor * pval
+                if updated == 0:
+                    row.pop(c, None)
+                else:
+                    row[c] = updated
+    return None
+
+
+def oracle_parity_rows(M: SignedCubeMatrix, columns: Sequence[int]) -> List[Dict[int, Scalar]]:
+    """Exact mode's system ``[M[E' u E, O] | -I_E]`` as the position-keyed
+    path built it: ``oracle_even_rows`` plus a -1 at each even column,
+    sorted by row. Row beta reads ``M[beta, O] y_O - y_beta = 0``."""
+    rows = oracle_even_rows(M, columns)
+    for j, gamma in enumerate(columns):
+        if not gamma.bit_count() & 1:
+            rows.setdefault(gamma, {})[j] = -1
+    return [rows[b] for b in sorted(rows)]
+
+
+def oracle_parity_pair(w: WeightConfig, H: InducedSubgraph) -> Dict[int, Fraction]:
+    """Exact mode's parity pair ``y`` as the position-keyed path found it,
+    keyed back by vertex, its zero coordinates left out."""
+    columns = list(H.vertices())
+    solution = oracle_first_kernel_vector(oracle_parity_rows(build_matrix(w), columns), len(columns))
+    assert solution is not None, "large H always meets the positive eigenspace"
+    return {g: v for g, v in zip(columns, solution) if v}
+
+
 def oracle_quadratic_eigenvector(w: WeightConfig, H: InducedSubgraph) -> Multivector:
     """The exact eigenvector by direct elimination of ``(M - s I)``
     restricted to H over Q(sqrt(d)), ``s = sqrt(lambda(v))``: the first free
     column's kernel vector, normalized like the pipeline's."""
     columns = list(H.vertices())
     rows = _restricted_rows(build_matrix(w), w.eigenvalue(), columns)
-    kernel = _first_kernel_vector(rows, len(columns))
+    kernel = oracle_first_kernel_vector(rows, len(columns))
     assert kernel is not None, "large H always meets the positive eigenspace"
     return Multivector(H.n, dict(zip(columns, _normalize_max_coordinate(kernel))))
 
@@ -488,7 +565,7 @@ def oracle_float_kernel_vector(
 
 def oracle_float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) -> Multivector:
     """``positive_eigenvector_in_span``'s float branch on dict rows, as it
-    was: ``M[E', O]`` and ``M[E, O]`` from ``_even_rows``, the E' rows
+    was: ``M[E', O]`` and ``M[E, O]`` from ``oracle_even_rows``, the E' rows
     filled into a dense block for the same QR, then the pick, the split and
     the certificate over dicts, the certificate through the dict walk of
     ``apply_A``."""
@@ -496,7 +573,7 @@ def oracle_float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMo
 
     M = build_matrix(w, mode)
     odd = [gamma for gamma in H.vertices() if gamma.bit_count() & 1]
-    rows = _even_rows(M, odd)
+    rows = oracle_even_rows(M, odd)
     members = H.members
     outside = sorted(beta for beta in rows if not members >> beta & 1)
     block = np.zeros((len(outside), len(odd)))

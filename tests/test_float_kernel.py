@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from cubesense import InducedSubgraph, ScalarMode, WeightConfig, build_matrix
 from cubesense.exhaustive import sample_mask
-from cubesense.witness import NumericalRankError, _even_rows, _float_kernel_vector
+from cubesense.witness import NumericalRankError, _float_kernel_vector
 
-from helpers import edge_subgraphs, oracle_float_kernel_vector
+from helpers import edge_subgraphs, oracle_even_rows, oracle_float_kernel_vector
 
 FLOAT = ScalarMode.floating()
 RESIDUAL_TOL = 1e-12  # QR's backward error is a small multiple of c * 2^-52
@@ -116,7 +116,7 @@ def test_cube_blocks_against_oracle(n):
         for ratio in (Fraction(1, 2), Fraction(1), Fraction(3)):
             M = build_matrix(WeightConfig.from_ratio(n, ratio), FLOAT)
             odd = [g for g in H.vertices() if g.bit_count() & 1]
-            rows = _even_rows(M, odd)
+            rows = oracle_even_rows(M, odd)
             one_dimensional += check_against_oracle(
                 [rows[b] for b in sorted(rows) if b not in H], len(odd)
             )

@@ -12,11 +12,15 @@ Core claims:
       the one exception is ``witness._restricted_rows``, the whole
       restricted system that tests and the benchmark's reference recorder
       keep as their oracle
-    - every public top-level name and public method of ``src/cubesense``
-      is used somewhere other than the unit tests: in ``src`` outside its
-      own definition, in perfbench's code, in a README code span or block,
-      or in ``tests/test_acceptance.py``; the three exceptions are listed
-      in ``USED_ONLY_BY_TESTS`` with their reasons
+    - every public top-level name, public method and public annotated
+      field of ``src/cubesense`` is used somewhere other than the unit
+      tests: in ``src`` outside its own definition, in perfbench's code, in
+      a README code span or block, or in ``tests/test_acceptance.py``; a
+      method or field counts as used only through an attribute access
+      (``x.name``), so a builtin or local of the same name does not hide
+      it, and one that overrides a base class's member is exempt; the
+      three exceptions are listed in ``USED_ONLY_BY_TESTS`` with their
+      reasons
     - ``__all__`` is exactly the names ``__init__.py``'s imports bind, and
       ``from cubesense import *`` binds exactly ``__all__``
     - the Python example under README "## Library" runs
@@ -27,6 +31,7 @@ Core claims:
 
 import ast
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -110,15 +115,22 @@ def test_no_unreferenced_private_definitions():
 
 def _public_definitions(tree: ast.Module):
     """``(name, node)`` for each public top-level function, class and
-    assigned name, and ``(Class.method, node)`` for each public method."""
+    assigned name, and ``(Class.member, node)`` for each public method and
+    annotated field of any class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
                 yield node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item
+                    if isinstance(item, ast.FunctionDef):
+                        name = item.name
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                    else:
+                        continue
+                    if not name.startswith("_"):
+                        yield f"{node.name}.{name}", item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -126,38 +138,49 @@ def _public_definitions(tree: ast.Module):
                     yield target.id, node
 
 
-def _names_used(node: ast.AST) -> Counter:
-    """How often each name appears under ``node`` as a Name or Attribute."""
+def _names_used(node: ast.AST, members: bool = False) -> Counter:
+    """How often each name appears under ``node`` as a Name or Attribute;
+    with ``members``, as an Attribute (``x.name``) only."""
     used = Counter()
     for part in ast.walk(node):
-        if isinstance(part, ast.Name):
+        if isinstance(part, ast.Name) and not members:
             used[part.id] += 1
         elif isinstance(part, ast.Attribute):
             used[part.attr] += 1
     return used
 
 
-def _perfbench_names() -> set:
-    """Names perfbench's code reads, with the attribute names its tracer
-    looks up by string; docstrings and other bare strings are prose."""
+def _perfbench_names(members: bool = False) -> set:
+    """Names perfbench's code reads (as attributes only, with ``members``),
+    with the attribute names its tracer looks up by string; docstrings and
+    other bare strings are prose."""
     names = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         prose = {node.value for node in ast.walk(tree) if isinstance(node, ast.Expr)}
-        names |= set(_names_used(tree))
+        names |= set(_names_used(tree, members))
         names |= {node.value for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and node.value.isidentifier() and node not in prose}
     return names
 
 
-def _readme_names() -> set:
+def _readme_names(members: bool = False) -> set:
     """Identifiers inside README code blocks, their comments left out, and
-    inside inline code spans."""
+    inside inline code spans; with ``members``, only those after a dot."""
     text = (ROOT / "README.md").read_text()
     blocks = [re.sub(r"#.*", "", block) for block in re.findall(r"```.*?```", text, re.S)]
     spans = re.findall(r"`[^`]+`", re.sub(r"```.*?```", "", text, flags=re.S))
-    return {name for code in blocks + spans for name in re.findall(r"[A-Za-z_]\w*", code)}
+    pattern = r"\.([A-Za-z_]\w*)" if members else r"[A-Za-z_]\w*"
+    return {name for code in blocks + spans for name in re.findall(pattern, code)}
+
+
+def _overrides(module: str, qualified: str) -> bool:
+    """Whether ``Class.member`` redefines a member of a base class, which
+    code outside the package (such as argparse) calls."""
+    class_name, name = qualified.split(".")
+    cls = getattr(importlib.import_module(f"cubesense.{module}"), class_name)
+    return any(hasattr(base, name) for base in cls.__mro__[1:])
 
 
 USED_ONLY_BY_TESTS = {
@@ -173,15 +196,21 @@ USED_ONLY_BY_TESTS = {
 def test_every_public_name_is_used_outside_the_unit_tests():
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
-    in_src = sum((_names_used(tree) for tree in trees.values()), Counter())
-    elsewhere = (_perfbench_names()
-                 | _readme_names()
-                 | set(_names_used(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))))
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    in_src, elsewhere = {}, {}
+    for members in (False, True):
+        in_src[members] = sum((_names_used(tree, members) for tree in trees.values()), Counter())
+        elsewhere[members] = (_perfbench_names(members)
+                              | _readme_names(members)
+                              | set(_names_used(acceptance, members)))
     unused = set()
     for module, tree in trees.items():
         for qualified, node in _public_definitions(tree):
+            members = "." in qualified
             name = qualified.rsplit(".", 1)[-1]
-            if in_src[name] > _names_used(node)[name] or name in elsewhere:
+            if in_src[members][name] > _names_used(node, members)[name] or name in elsewhere[members]:
+                continue
+            if members and _overrides(module, qualified):
                 continue
             unused.add(f"{module}.{qualified}")
     assert unused == set(USED_ONLY_BY_TESTS)

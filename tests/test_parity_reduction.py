@@ -40,9 +40,9 @@ from cubesense import (
 )
 from cubesense.exhaustive import sample_mask
 from cubesense import witness
-from cubesense.witness import _even_rows, _restricted_rows
+from cubesense.witness import _restricted_rows
 
-from helpers import edge_subgraphs, oracle_rational_rows, random_weights
+from helpers import edge_subgraphs, oracle_parity_rows, oracle_rational_rows, random_weights
 
 RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
 FLOAT = ScalarMode.floating()
@@ -140,17 +140,6 @@ def test_exact_witness_splits_by_parity(seed):
 
 # -- nullity --------------------------------------------------------------------
 
-def exact_even_rows(M, H):
-    """The exact-mode system: even rows ``M[beta, O] y_O - y_beta = 0`` over
-    all of H's columns, with ``x_O = s y_O`` and ``x_E = y_E``."""
-    columns = list(H.vertices())
-    rows = _even_rows(M, columns)
-    for j, gamma in enumerate(columns):
-        if gamma.bit_count() % 2 == 0:
-            rows.setdefault(gamma, {})[j] = -1
-    return list(rows.values())
-
-
 def assert_same_nullity(w, H):
     n = H.n
     M = build_matrix(w)
@@ -158,7 +147,7 @@ def assert_same_nullity(w, H):
     _, odd, _ = parity_split(H)
     whole = len(columns) - exact_rank(oracle_rational_rows(M, w.pairing, columns), len(columns))
     reduced = len(odd) - exact_rank(reduced_rows(M, H), len(odd))
-    even = len(columns) - exact_rank(exact_even_rows(M, H), len(columns))
+    even = len(columns) - exact_rank(oracle_parity_rows(M, columns), len(columns))
     assert whole == reduced == even >= H.cardinality - (1 << (n - 1))
     return whole
 

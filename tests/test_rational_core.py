@@ -9,6 +9,11 @@ Core claims:
       and Q(sqrt(d)) folds to d = 1
     - both also hold where the even-row system degenerates: the full cube,
       E' empty, and E a single vertex
+    - the parity pair ``y`` that the vertex-keyed system solves for is
+      exactly the one the position-keyed rows and dense-solution
+      eliminator it replaced find (``helpers.oracle_parity_pair``), for
+      n = 2..7, C in {1/2, 1, 2}, non-uniform weights and the degenerate
+      subgraphs
     - normalization and the certificate run no Q(sqrt(d)) arithmetic: an
       exact eigenvector at n = 6 costs no division or addition there, and
       at most one multiplication (by s) per irrational coordinate
@@ -22,6 +27,7 @@ Core claims:
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,11 +45,19 @@ from cubesense import (
     apply_A,
     positive_eigenvector_in_span,
 )
+from cubesense import witness
 from cubesense.exhaustive import sample_mask
 from cubesense.scalars import format_exact
 from cubesense.witness import _certify_eigenpair, _certify_float_eigenpair
 
-from helpers import as_array, edge_subgraphs, oracle_quadratic_eigenvector, random_weights, sup_norm
+from helpers import (
+    as_array,
+    edge_subgraphs,
+    oracle_parity_pair,
+    oracle_quadratic_eigenvector,
+    random_weights,
+    sup_norm,
+)
 
 RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -102,6 +116,40 @@ def weights_and_subgraph(draw):
 @given(weights_and_subgraph())
 def test_matches_direct_elimination_generated(case):
     assert_matches_oracle(*case)
+
+
+# -- the vertex-keyed system against the position-keyed one ----------------------
+
+def solved_parity_pair(w, H):
+    """The ``y`` exact ``positive_eigenvector_in_span`` solves for, caught on
+    its way out of ``_first_kernel_vector``, its zero coordinates left out."""
+    solve, solved = witness._first_kernel_vector, []
+
+    def caught(rows, columns):
+        solved.append(solve(rows, columns))
+        return solved[-1]
+
+    with mock.patch.object(witness, "_first_kernel_vector", caught):
+        positive_eigenvector_in_span(w, H, ScalarMode.exact())
+    [y] = solved
+    return {g: v for g, v in y.items() if v}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_vertex_keyed_pair_matches_position_keyed(n):
+    rng = random.Random(70 + n)
+    sizes = ((1 << (n - 1)) + 1, rng.randrange((1 << (n - 1)) + 1, (1 << n) + 1))
+    subgraphs = [InducedSubgraph(n, sample_mask(rng, 1 << n, k)) for k in sizes]
+    for H in subgraphs + edge_subgraphs(n):
+        for w in [WeightConfig.from_ratio(n, ratio) for ratio in RATIOS] + [random_weights(rng, n)]:
+            assert solved_parity_pair(w, H) == oracle_parity_pair(w, H), (H.members, w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(weights_and_subgraph())
+def test_vertex_keyed_pair_matches_position_keyed_generated(case):
+    w, H = case
+    assert solved_parity_pair(w, H) == oracle_parity_pair(w, H)
 
 
 # -- no Q(sqrt(d)) arithmetic outside the final sum ----------------------------

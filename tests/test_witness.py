@@ -165,6 +165,8 @@ def test_extract_witness_validates_input():
         extract_witness(w, H, Multivector(2, {}))
     with pytest.raises(ValueError):
         extract_witness(w, H, Multivector.basis(2, 0b10))
+    with pytest.raises(ValueError, match="support"):  # beta lies in H, a smaller coordinate not
+        extract_witness(w, H, Multivector(2, {0b00: 2, 0b10: 1}))
     with pytest.raises(ValueError):
         extract_witness(WeightConfig.uniform(3, 1, 1), H, Multivector.basis(2, 0b00))
 
@@ -319,7 +321,7 @@ def test_float_rank_detection_failure():
 
 def test_exact_kernel_of_full_rank_system_is_none():
     # every column carries a pivot, so no column is free
-    assert _first_kernel_vector([{0: 1}, {1: 1}], 2) is None
+    assert _first_kernel_vector([{0: 1}, {1: 1}], [0, 1]) is None
 
 
 def test_reports_serialize_deterministically():
