@@ -161,19 +161,22 @@ def unrank_combination(rank: int, k: int) -> int:
     return mask
 
 
-def sample_mask(rng: random.Random, universe: int, size: int) -> int:
-    """Floyd's sampling: a uniform size-subset of [0, universe) as a bitmask.
-
-    Written out explicitly (rather than random.sample) so the draw depends
-    only on randrange, keeping seeded runs stable. Membership is one byte
-    per vertex and the int is built once, so each draw is O(1).
-    """
-    if not 0 < size <= universe:
-        raise ValueError(f"cannot sample {size} of {universe}")
-    seen = bytearray(universe)
-    for j in range(universe - size, universe):
+def _floyd_marks(rng: random.Random, seen: bytearray, size: int) -> bytearray:
+    """Floyd's loop: sets the bytes of a uniform size-subset of seen's
+    positions. Its ``randrange`` bounds do not depend on seen's bytes."""
+    for j in range(len(seen) - size, len(seen)):
         t = rng.randrange(j + 1)
         seen[j if seen[t] else t] = 1
+    return seen
+
+
+def sample_mask(rng: random.Random, universe: int, size: int) -> int:
+    """Floyd's sampling: a uniform size-subset of [0, universe) as a
+    bitmask, from ``randrange`` alone (not random.sample) so that seeded
+    runs stay stable."""
+    if not 0 < size <= universe:
+        raise ValueError(f"cannot sample {size} of {universe}")
+    seen = _floyd_marks(rng, bytearray(universe), size)
     return int(seen[::-1].translate(_BYTE_BITS), 2)
 
 
@@ -254,12 +257,13 @@ def _scan_block(n: int, first_rank: int, packed: int, count: int, bound: int) ->
 
 def _plan_masks(plan: EnumerationPlan, start: int) -> Iterator[int]:
     """A seeded sample's subsets in scan order from rank ``start``,
-    whatever the shard count: the first ``start`` draws are made and
-    dropped, so the draw order lives in ``sample_mask`` alone. A draw's
-    mask costs little beside its ``randrange`` calls."""
+    whatever the shard count. The first ``start`` draws are skipped: they
+    mark one shared buffer, which is dropped, and build no mask."""
     rng, universe, size = random.Random(plan.strategy.seed), 1 << plan.n, plan.subset_size
-    draws = (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan))
-    return islice(draws, start, None)
+    skipped = bytearray(universe)
+    for _ in range(start):
+        _floyd_marks(rng, skipped, size)
+    return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan - start))
 
 
 def _colex_rank(mask: int) -> int:

@@ -19,15 +19,14 @@ vector always exists.
 
 Both modes solve only these even rows for a parity pair ``y`` with
 ``y_O`` in ``ker M[E', O]`` and ``y_E = M[E, O] y_O``, so that
-``x = y_E + s y_O``. Exact mode builds ``[M[E' u E, O] | -I_E]`` in one
-pass over H's vertices, as dict rows keyed by vertex: an odd vertex adds
-its column of M, an even one its -1. It eliminates over Q, with the
-weights themselves as entries and the columns in vertex order, and takes
-the first free column's kernel vector ``y``. Up to scale, x is then the
-unique kernel vector whose last nonzero column comes earliest: dropping
-implied rows keeps the kernel and the column scaling moves no zero, so it
-is the vector a direct elimination of the whole system over Q(sqrt(d))
-finds.
+``x = y_E + s y_O``. Exact mode builds ``[M[E' u E, O] | -I_E]`` as dict
+rows keyed by vertex (an odd vertex adds its column of M, an even one its
+-1), eliminates it over Q with the weights as entries and the columns in
+vertex order, and takes the first free column's kernel vector ``y``. Up to
+scale, x is then the unique kernel vector whose last nonzero column comes
+earliest: dropping implied rows keeps the kernel and the column scaling
+moves no zero, so it is the vector a direct elimination of the whole
+system over Q(sqrt(d)) finds.
 
 Float mode works on numpy arrays indexed by vertex, one cube direction at
 a time, through ``matrices.float_entries``. It counts |O| by a popcount
@@ -152,13 +151,11 @@ def _first_kernel_vector(
     rows: List[Dict[int, Scalar]], columns: Sequence[int]
 ) -> Optional[Dict[int, Scalar]]:
     """Exact kernel vector ``{column: value}`` for the first free column,
-    the columns taken in the ascending order given.
-
-    Rows are sparse dicts keyed by column, and forward elimination keeps
-    them so; when a column has no pivot among the remaining rows it is
-    free, its coefficient is set to 1 and the pivot columns are
-    back-substituted. The columns after it are 0 and left out. Returns
-    None when every column carries a pivot (trivial restricted kernel).
+    the columns taken in the order given. Forward elimination keeps the
+    rows sparse as dicts keyed by column; a column with no pivot among the
+    remaining rows is free, its coefficient is set to 1 and the pivot
+    columns are back-substituted. Later columns are 0 and left out.
+    Returns None when every column carries a pivot (trivial kernel).
     """
     active = [dict(r) for r in rows]
     pivots: List[Tuple[int, Dict[int, Scalar]]] = []

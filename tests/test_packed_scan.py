@@ -318,10 +318,18 @@ def test_shard_cut_inside_a_high_half(monkeypatch, n, size):
 
 
 @pytest.mark.parametrize("start, stop", [(0, 7), (13, 20), (49, 50)])
-def test_shard_builds_only_its_own_draws(start, stop):
-    # the shard's statistics cover its own draws, not those before its start
+def test_shard_builds_only_its_own_draws(monkeypatch, start, stop):
+    # the draws before a shard's start make their randrange calls, no masks
+    calls = []
+
+    def counted(rng, universe, size):
+        calls.append(size)
+        return sample_mask(rng, universe, size)
+
+    monkeypatch.setattr(exhaustive, "sample_mask", counted)
     plan = EnumerationPlan(4, 9, RandomSample(50, 3))
     result = exhaustive._scan_shard((plan, start, stop))
+    assert len(calls) == stop - start
     expected = oracle_scan(4, oracle_random_masks(4, 9, 50, 3)[start:stop])
     assert (result.checked, dict(result.histogram)) == (stop - start, expected["histogram"])
 
