@@ -38,37 +38,37 @@ def lane_width(n: int) -> int:
     return max(8, 1 << n)
 
 
-def _bit_clear(b: int, bits: int) -> int:
-    """The positions below ``bits`` whose bit ``b`` is clear: a pattern of
-    period 2^(b+1), so it is the same in every lane of a packed block."""
-    half = 1 << b
-    if half < 8:
-        unit = bytes([0xFF // ((1 << 2 * half) - 1) * ((1 << half) - 1)])
-    else:
-        unit = b"\xff" * (half // 8) + bytes(half // 8)
-    return int.from_bytes(unit * (bits // (8 * len(unit))), "little")
+def lane_ones(n: int, count: int) -> int:
+    """A 1 at the bottom of each of ``count`` lanes."""
+    return int.from_bytes((1).to_bytes(lane_width(n) // 8, "little") * count, "little")
 
 
-def degree_sets(members: int, n: int) -> list[int]:
+def degree_sets(members: int, n: int, ones: int) -> list[int]:
     """``at_least[k]`` for k = 0..n: the members with at least k neighbours
     among the members, so the maximum induced degree is the largest k with
     ``at_least[k]`` nonzero.
 
     ``members`` may hold many subsets side by side, each in its own lane of
-    ``lane_width(n)`` bits (lane i at bit ``i * lane_width(n)``); every
-    step is a big-int operation on all lanes at once and no bit crosses a
-    lane. For each direction b, ``m & (m >> 2^b)`` on the vertices with bit
-    b clear marks the lower ends of the members' edges in that direction.
+    ``lane_width(n)`` bits (lane i at bit ``i * lane_width(n)``), and
+    ``ones`` is ``lane_ones(n, lanes)``: 1 for a single subset. Every step
+    is a big-int operation on all lanes at once and no bit crosses a lane.
+    For each direction b, ``m & (m >> 2^b)`` on the vertices with bit b
+    clear marks the lower ends of the members' edges in that direction.
+    Those vertices repeat 2^b ones, then 2^b zeros: each direction's mask
+    is the one above XOR itself shifted left by 2^b, so b runs top-down.
     """
-    width = lane_width(n)
-    bits = width * -(-members.bit_length() // width)
+    width, half = lane_width(n), 1 << (n - 1)
+    # with 8-bit lanes for n <= 2 the pattern repeats to fill the lane
+    clear = ones * (((1 << width) - 1) // ((1 << 2 * half) - 1) * ((1 << half) - 1))
     at_least = [members] + [0] * n
-    for b in range(n):
-        half = 1 << b
-        lower = members & (members >> half) & _bit_clear(b, bits)
+    for directions in range(1, n + 1):  # directions counted, this one included
+        lower = members & (members >> half) & clear
         hit = lower | (lower << half)
-        for k in range(b + 1, 0, -1):  # descending: at_least[k - 1] is still the old set
+        for k in range(directions, 0, -1):  # descending: at_least[k - 1] is still the old set
             at_least[k] |= at_least[k - 1] & hit
+        half >>= 1
+        if half:  # direction 0 has no mask below it to derive
+            clear ^= clear << half
     return at_least
 
 
@@ -141,7 +141,7 @@ class InducedSubgraph:
         smallest bitmask."""
         if self.members == 0:
             raise ValueError("empty subgraph has no maximum degree")
-        at_least = degree_sets(self.members, self.n)
+        at_least = degree_sets(self.members, self.n, 1)
         degree = max(k for k, vertices in enumerate(at_least) if vertices)
         top = at_least[degree]
         return (top & -top).bit_length() - 1, degree

@@ -11,7 +11,8 @@ job is ``(plan, start, stop)``, so each shard derives its own subsets. It
 packs them in blocks of up to ``BLOCK_BITS`` bits, one lane per subset,
 and gets every lane's max degree from a single bit-sliced
 ``cube.degree_sets`` call, so each big-int operation serves the whole
-block.
+block. The block's lane word ``cube.lane_ones`` is built once: the
+kernel derives its direction masks from it and the scan its lane flags.
 
 Colex order is numeric order, so an exhaustive plan's subsets fall into
 one contiguous rank interval per high half h (the vertices at or above
@@ -36,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .cube import InducedSubgraph, check_dimension, degree_sets, iter_bits, lane_width
+from .cube import InducedSubgraph, check_dimension, degree_sets, iter_bits, lane_ones, lane_width
 from .exterior import WeightConfig
 from .scalars import EXACT_DEFAULT_LIMIT
 from .witness import InvariantViolation, run_pipeline
@@ -182,7 +183,7 @@ def sample_mask(rng: random.Random, universe: int, size: int) -> int:
 
 def max_induced_degree(members: int, n: int) -> int:
     """Maximum induced degree over the subset bitmask (0 for the empty set)."""
-    return sum(1 for vertices in degree_sets(members, n)[1:] if vertices)
+    return sum(1 for vertices in degree_sets(members, n, 1)[1:] if vertices)
 
 
 @dataclass
@@ -221,24 +222,19 @@ def _pack(masks: List[int], n: int) -> int:
     return int.from_bytes(data, "little")
 
 
-def _lane_ones(n: int, count: int) -> int:
-    """A 1 at the bottom of each of ``count`` lanes."""
-    return int.from_bytes((1).to_bytes(lane_width(n) // 8, "little") * count, "little")
-
-
 def _scan_block(n: int, first_rank: int, packed: int, count: int, bound: int) -> _ShardResult:
     """Statistics of ``count`` packed subsets (ranks first_rank,
-    first_rank + 1, ...), from one ``degree_sets`` call.
+    first_rank + 1, ...), from one ``degree_sets`` call on the lane word.
 
     A lane's flag is its top bit, set by ``((x & low) + low | x) & top``
     iff the lane of x is nonzero, so the popcount of the flags of
     ``at_least[d]`` counts the subsets of max degree at least d.
     """
     width = lane_width(n)
-    ones = _lane_ones(n, count)
+    ones = lane_ones(n, count)
     top = ones << (width - 1)
     low = top - ones
-    flags = [((x & low) + low | x) & top for x in degree_sets(packed, n)] + [0]
+    flags = [((x & low) + low | x) & top for x in degree_sets(packed, n, ones)] + [0]
     counts = [f.bit_count() for f in flags]
     least = max(d for d in range(n + 1) if counts[d] == count)
     tied = top ^ flags[least + 1]  # the lanes whose max degree is `least`
@@ -278,10 +274,10 @@ def _low_chunks(n: int, c: int, lanes: int) -> Iterator[Tuple[int, int, int]]:
     has a 1 at the bottom of each of the chunk's lanes and ``size`` is
     their length in bytes."""
     masks = islice(_colex_from((1 << c) - 1), math.comb(1 << (n - 1), c))
-    full = _lane_ones(n, lanes)
+    full = lane_ones(n, lanes)
     while chunk := list(islice(masks, lanes)):
         count = len(chunk)
-        ones = full if count == lanes else _lane_ones(n, count)
+        ones = full if count == lanes else lane_ones(n, count)
         yield _pack(chunk, n), ones, count * lane_width(n) // 8
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .cube import check_dimension, iter_bits
@@ -206,7 +207,7 @@ class WeightConfig:
             raise PositivityError(f"weight ratio must be positive, got {ratio}")
         return cls.uniform(n, ratio, 1 / ratio)
 
-    @property
+    @cached_property  # in the instance's __dict__, outside repr and ==
     def pairing(self) -> Fraction:
         return sum((a * b for a, b in zip(self.lam, self.v)), Fraction(0))
 

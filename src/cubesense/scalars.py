@@ -214,19 +214,6 @@ class QuadraticScalar:
             return NotImplemented
         return self.inverse() * other
 
-    def __pow__(self, exponent: int) -> "QuadraticScalar":
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = _reduced(1, 0, 1, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def sign(self) -> int:
         """Exact sign of ``(a + b*sqrt(d)) / c`` in {-1, 0, 1}; ``c > 0`` drops out."""
         a, b = self._a, self._b

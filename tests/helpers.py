@@ -173,19 +173,6 @@ class OracleQuadraticScalar:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, exponent: int) -> "OracleQuadraticScalar":
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = OracleQuadraticScalar(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def sign(self) -> int:
         """Exact sign of ``x + y*sqrt(d)`` in {-1, 0, 1} by rational comparison."""
         x, y = self._x, self._y

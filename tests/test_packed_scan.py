@@ -4,7 +4,7 @@ Core claims:
     - ``degree_sets`` gives, for every vertex, exactly the thresholds of
       its induced degree, also with many subsets packed side by side
       (padded 8-bit lanes for n <= 3, machine-word lanes for n = 4..6,
-      wide lanes from n = 7 on) and no bit crossing a lane
+      wide lanes for n = 7..12) and no bit crossing a lane
     - ``enumerate_and_verify`` reproduces the oracle's histogram,
       violations, minimum and argmin (the smallest rank) for exhaustive and
       random plans, below and above half the cube
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from cubesense import EnumerationPlan, InducedSubgraph, RandomSample, enumerate_and_verify
 from cubesense import exhaustive
-from cubesense.cube import degree_sets, lane_width
+from cubesense.cube import degree_sets, lane_ones, lane_width
 from cubesense.exhaustive import max_induced_degree, random_masks, sample_mask
 
 from helpers import (
@@ -53,7 +53,7 @@ def degrees(n, members):
 def assert_kernel(n, masks):
     width = lane_width(n)
     packed = sum(m << (i * width) for i, m in enumerate(masks))
-    at_least = degree_sets(packed, n)
+    at_least = degree_sets(packed, n, lane_ones(n, len(masks)))
     assert len(at_least) == n + 1
     for i, members in enumerate(masks):
         deg = degrees(n, members)
@@ -86,7 +86,7 @@ def plan_masks(plan):
     return oracle_colex(plan.n, plan.subset_size)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_kernel_matches_loop_in_packed_lanes(n):
     rng = random.Random(n)
     universe = 1 << n

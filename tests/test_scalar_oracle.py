@@ -5,7 +5,7 @@ Core claims:
       on either side, gives the oracle's value or raises the oracle's
       exception; results agree in x, y, d, is_rational, rational_value,
       sign, bool, abs, hash, str, repr and float (bit for bit)
-    - inverse, powers, the four orderings and == agree, including d = 1
+    - inverse, the four orderings and == agree, including d = 1
       folding, y = 0 resetting d, zero, negative-norm inverses, mixed
       radicands (ValueError on arithmetic, False on ==) and 200-bit
       numerators
@@ -93,10 +93,6 @@ def check_unary(new, old):
     assert_agrees(new, old)
     assert_agrees(-new, -old)
     assert_same_outcome(outcome(lambda q: q.inverse(), new), outcome(lambda q: q.inverse(), old))
-    for e in range(6):
-        assert_agrees(new**e, old**e)
-    # negative exponents are refused alike; the TypeError names the class
-    assert outcome(operator.pow, new, -1)[:2] == outcome(operator.pow, old, -1)[:2]
 
 
 def check_binary(left, right):

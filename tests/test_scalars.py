@@ -166,9 +166,3 @@ def test_scalar_mode_validation():
     assert ScalarMode.exact().within(0, 123.0)
     assert not ScalarMode.exact().within(Fraction(1, 10**30), 1.0)
 
-
-def test_power():
-    root2 = QuadraticScalar.sqrt_of(2)
-    assert root2**2 == 2
-    assert (1 + root2) ** 0 == 1
-    assert (1 + root2) ** 3 == 7 + 5 * root2
