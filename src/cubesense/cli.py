@@ -47,7 +47,7 @@ def _add_mode_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_mode(args: argparse.Namespace, n: int) -> ScalarMode:
-    return resolve_mode(n, None if args.mode == "auto" else ScalarMode(args.mode, args.tol))
+    return ScalarMode(resolve_mode(n, None).kind if args.mode == "auto" else args.mode, args.tol)
 
 
 def _parse_coords(text: str, n: int, what: str) -> List[Fraction]:

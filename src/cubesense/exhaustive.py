@@ -11,8 +11,8 @@ job is ``(plan, start, stop)``, so each shard derives its own subsets. It
 packs them in blocks of up to ``BLOCK_BITS`` bits, one lane per subset,
 and gets every lane's max degree from a single bit-sliced
 ``cube.degree_sets`` call, so each big-int operation serves the whole
-block. The block's lane word ``cube.lane_ones`` is built once: the
-kernel derives its direction masks from it and the scan its lane flags.
+block. A shard builds a full block's lane word ``cube.lane_ones`` once:
+the kernel derives its direction masks from it and the scan its flags.
 
 Colex order is numeric order, so an exhaustive plan's subsets fall into
 one contiguous rank interval per high half h (the vertices at or above
@@ -222,16 +222,17 @@ def _pack(masks: List[int], n: int) -> int:
     return int.from_bytes(data, "little")
 
 
-def _scan_block(n: int, first_rank: int, packed: int, count: int, bound: int) -> _ShardResult:
-    """Statistics of ``count`` packed subsets (ranks first_rank,
-    first_rank + 1, ...), from one ``degree_sets`` call on the lane word.
+def _scan_block(
+    n: int, first_rank: int, packed: int, count: int, ones: int, bound: int
+) -> _ShardResult:
+    """Statistics of ``count`` packed subsets, of ranks first_rank on, from
+    one ``degree_sets`` call on their lane word ``ones``.
 
     A lane's flag is its top bit, set by ``((x & low) + low | x) & top``
     iff the lane of x is nonzero, so the popcount of the flags of
     ``at_least[d]`` counts the subsets of max degree at least d.
     """
     width = lane_width(n)
-    ones = lane_ones(n, count)
     top = ones << (width - 1)
     low = top - ones
     flags = [((x & low) + low | x) & top for x in degree_sets(packed, n, ones)] + [0]
@@ -355,9 +356,10 @@ def _scan_shard(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
         blocks = ((_pack(chunk, plan.n), len(chunk)) for chunk in chunks)
     else:
         blocks = _colex_blocks(plan, start, stop, lanes)
-    result = _ShardResult()
+    result, full = _ShardResult(), lane_ones(plan.n, lanes)
     for packed, count in blocks:
-        result.merge(_scan_block(plan.n, start + result.checked, packed, count, bound))
+        ones = full if count == lanes else lane_ones(plan.n, count)
+        result.merge(_scan_block(plan.n, start + result.checked, packed, count, ones, bound))
     return result
 
 

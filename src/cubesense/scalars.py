@@ -323,8 +323,9 @@ class ScalarMode:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "float"):
             raise ValueError(f"unknown scalar mode {self.kind!r}")
-        if self.kind == "float" and not self.tol > 0:
-            raise ValueError("float mode needs a positive tolerance")
+        # at tol >= 1 a zero image passes against a unit target; NaN fails this test too
+        if self.kind == "float" and not 0 < self.tol < 1:
+            raise ValueError(f"float mode needs a tolerance in (0, 1), got {self.tol}")
 
     @classmethod
     def exact(cls) -> "ScalarMode":

@@ -86,10 +86,10 @@ class WitnessReport:
     """The extracted vertex, its eigenvector coordinate, and the certified
     inequality `bound_rhs >= bound_lhs` at that vertex.
 
-    ``marginal`` is a float-noise flag: float mode sets it when the two
-    sides differ by no more than the tolerance, so the comparison could go
-    either way. Exact mode decides the comparison exactly and always
-    reports False, equality cases included.
+    ``certified`` is decided exactly in both modes. ``marginal`` only flags
+    float noise: float mode sets it when the two printed sides differ by
+    no more than the tolerance, so the floats alone cannot order them.
+    Exact mode always reports False, equality cases included.
     """
 
     n: int
@@ -397,11 +397,11 @@ def extract_witness(
     """Locate the max-coordinate vertex of ``omega`` and certify the
     weighted degree inequality there.
 
-    The certified comparison is done on the unnormalized form
-    ``a*indeg + b*outdeg >= sqrt(lambda(v))`` (a, b the sup norms), which
-    is the reported inequality scaled by ``sqrt(a*b) > 0``; this keeps the
-    exact comparison inside a single quadratic field, whereas ``ratio`` and
-    ``bound_lhs`` may lie in different ones.
+    The verdict is the unnormalized form
+    ``a*indeg + b*outdeg >= sqrt(lambda(v))`` (a, b the sup norms), the
+    reported inequality scaled by ``sqrt(a*b) > 0``. Both sides are
+    nonnegative, so it is squared and decided over Fractions in either
+    mode; ``tol`` enters only ``marginal``.
     """
     mode = resolve_mode(H.n, mode)
     if w.n != H.n or omega.n != H.n:
@@ -423,13 +423,8 @@ def extract_witness(
     ratio = mode.sqrt(a / b)
     bound_lhs = mode.sqrt(w.pairing / (a * b))
     bound_rhs = ratio * profile.indegree + profile.outdegree / ratio
-    if mode.is_exact:
-        certified = a * profile.indegree + b * profile.outdegree >= mode.sqrt(w.pairing)
-        marginal = False
-    else:
-        diff = bound_rhs - bound_lhs
-        marginal = mode.within(diff, bound_lhs)
-        certified = marginal or diff > 0
+    certified = (a * profile.indegree + b * profile.outdegree) ** 2 >= w.pairing
+    marginal = not mode.is_exact and mode.within(bound_rhs - bound_lhs, bound_lhs)
 
     return WitnessReport(
         n=H.n,

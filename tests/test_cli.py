@@ -163,6 +163,14 @@ def test_witness_float_full_cube_needs_no_dense_solve():
     assert payload["certified"] is True
 
 
+def test_tol_reaches_auto_mode():
+    # n = 13 is float under --mode auto, so --tol must reach its residual check
+    proc = run_cli("witness", "--n", "13", "--subgraph", "random:4097:0", "--tol", "1e-300",
+                   expect=1)
+    assert "residual exceeds tolerance" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_witness_small_subgraph_exit_code():
     proc = run_cli("witness", "--subgraph", "00,01", expect=1)
     assert "more than half" in proc.stderr
@@ -254,6 +262,7 @@ def test_usage_errors_exit_one():
     run_cli("exhaustive", "--n", "3", "--strategy", "bogus", expect=1)
     run_cli("witness", "--subgraph", "no/such/file.txt", expect=1)
     run_cli("witness", "--subgraph", "00,01,11", "--C", "-1", expect=1)
+    run_cli("witness", "--subgraph", "00,01,11", "--mode", "float", "--tol", "inf", expect=1)
 
 
 def test_uncertified_witness_exits_two(monkeypatch, capsys):

@@ -158,8 +158,10 @@ def test_parse_and_format():
 def test_scalar_mode_validation():
     with pytest.raises(ValueError):
         ScalarMode("decimal")
-    with pytest.raises(ValueError):
-        ScalarMode.floating(0.0)
+    # 0 < tol < 1: a larger tol passes a zero image against a unit target
+    for tol in (0.0, 1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ScalarMode.floating(tol)
     mode = ScalarMode.floating()
     assert mode.within(5e-10, 1.0)
     assert not mode.within(5e-9, 1.0)

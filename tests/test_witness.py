@@ -11,8 +11,9 @@ Core claims:
     - every kernel vector certifies, not just the canonical one
     - weighted scans at C and 1/C relate through coordinate complement
     - float mode reproduces exact answers within tolerance
-    - the equality cases at n=4 and n=9 certify in both modes; only float
-      mode flags them as marginal
+    - the verdict is exact in both modes, so the equality cases at n=4 and
+      n=9 certify outright in both; only float mode flags them as marginal,
+      and a loose float tolerance moves ``marginal``, never ``certified``
 """
 
 import json
@@ -354,29 +355,33 @@ def test_library_default_mode_switches_at_twelve(n, exact):
     assert all(isinstance(c, rational) for _, c in image.items())
 
 
-@pytest.mark.parametrize("tol", [0.5, 0.49])
+@pytest.mark.parametrize("tol", [0.5, 0.49, None])  # None: exact mode
 @pytest.mark.parametrize("vertex, degree", [(0b0100, 1), (0b0001, 2), (0b0000, 3)])
 def test_float_tolerance_boundary(vertex, degree, tol):
     # at C = 1 on Q_4, bound_lhs = 2 and bound_rhs = degree, so diff is
     # exactly 0 or +-1, and the noise 2 * tol is exactly 1 at tol = 0.5:
-    # marginal and certified follow the noise tol * max(1, |bound_lhs|)
-    # on both sides of the boundary
+    # marginal follows the noise tol * max(1, |bound_lhs|) on both sides
+    # of the boundary, while certified is exact and ignores tol
     H = InducedSubgraph.from_vertices(4, [0b0000, 0b0001, 0b0010, 0b0100, 0b0011])
     assert H.degree_profile(vertex).degree == degree
     w = WeightConfig.uniform(4, 1, 1)
-    report = extract_witness(w, H, Multivector.basis(4, vertex), ScalarMode.floating(tol))
+    mode = ScalarMode.exact() if tol is None else ScalarMode.floating(tol)
+    report = extract_witness(w, H, Multivector.basis(4, vertex), mode)
     diff = report.bound_rhs - report.bound_lhs
-    noise = tol * max(1.0, abs(report.bound_lhs))
     assert diff == degree - 2
-    assert (report.marginal, report.certified) == (abs(diff) <= noise, diff >= -noise)
+    assert report.certified is (degree >= 2)
+    if tol is None:
+        assert report.marginal is False
+        return
+    noise = tol * max(1.0, abs(report.bound_lhs))
+    assert report.marginal is (abs(diff) <= noise)
     assert report.marginal is (tol == 0.5 or degree == 2)
-    assert report.certified is (tol == 0.5 or degree >= 2)
 
 
 def test_equality_cases_at_n4():
     # the 9-subsets of Q_4 with max degree 2 = sqrt(4): at C = 1 the bound
-    # holds with equality, which exact mode certifies outright and float
-    # mode flags as marginal, because the float comparison is within noise
+    # holds with equality, which both modes certify outright; float mode
+    # also flags it as marginal, because its printed sides are within noise
     subsets = [s for s in combinations(range(16), 9) if oracle_max_degree(4, s) == 2]
     assert len(subsets) == 48
     for subset in subsets:
