@@ -5,23 +5,35 @@ random sample) and aggregates: the minimum over subsets of the max degree
 (with the smallest-rank subset reaching it), a histogram, and the count of
 bound violations (which must be zero).
 
-Subsets are bitmasks over the 2^n vertices, scanned in rank order: colex
-order for an exhaustive plan, draw order for a seeded sample. A shard
-job is ``(plan, start, stop)``, so each shard derives its own subsets. It
-packs them in blocks of up to ``BLOCK_BITS`` bits, one lane per subset,
-and gets every lane's max degree from a single bit-sliced
+Subsets are bitmasks over the 2^n vertices, scanned in rank order. A
+shard job is ``(plan, start, stop)``, so each shard derives its own
+subsets. It packs them in blocks of up to ``BLOCK_BITS`` bits, one lane
+per subset, and gets every lane's max degree from a single bit-sliced
 ``cube.degree_sets`` call, so each big-int operation serves the whole
 block. A shard builds a full block's lane word ``cube.lane_ones`` once:
 the kernel derives its direction masks from it and the scan its flags.
 
-Colex order is numeric order, so an exhaustive plan's subsets fall into
-one contiguous rank interval per high half h (the vertices at or above
-2^(n-1)), h ascending, and within it the low halves are all
-(k - |h|)-subsets of the low vertices in colex order. Those are packed
-once per (n, k - |h|) in ``_low_table``, and a block is built from them
-as ``table_chunk | ones * (h << 2^(n-1))``: one big-int OR per chunk,
-not one step per subset. A seeded sample replays its draws from the
-plan's seed (``_plan_masks``) and packs them with ``_pack``.
+An exhaustive plan scans one symmetry slice of the cube (``_slice``):
+the subsets ``{0, e_1..e_j} | S``, or ``{e_1..e_j} | S`` if that side is
+smaller, S running over the vertices of weight at least 2. Every other
+k-subset is an image of one of them under the cube's automorphisms,
+which keep the max degree, so weighting part j by ``C(n, j) 2^n`` and
+dividing by k (or by 2^n - k) gives the histogram of all C(2^n, k)
+subsets. The argmin, the subset of smallest colex rank that reaches the
+minimum, is not kept by the automorphisms: a colex prefix scan from rank
+0 finds it (``_first_argmin``).
+
+Both enumerate "the r-subsets of a vertex pool, in colex order" with one
+packed enumerator, ``_pool_bytes``. Colex order is numeric order, so a
+pool's subsets fall into one contiguous rank interval per subset h of
+its high part, h ascending, and within it the low parts are every
+(r - |h|)-subset of the pool's low part in colex order. Those are packed
+once per (pool, r - |h|) in ``_pool_table``, and each group is built
+from them as ``table_chunk | ones * h``: one big-int OR per chunk, not
+one step per subset. The low part is as large as keeps each of its
+tables within one block (``_split``), so a small pool is all low part,
+one kept table. A seeded sample replays its draws from the plan's seed
+(``_plan_masks``) and packs them with ``_pack``.
 """
 
 from __future__ import annotations
@@ -34,8 +46,8 @@ import struct
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import islice
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from itertools import chain, islice, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .cube import InducedSubgraph, check_dimension, degree_sets, iter_bits, lane_ones, lane_width
 from .exterior import WeightConfig
@@ -48,10 +60,10 @@ DEFAULT_BUDGET = 10**8
 # big-int operations, so larger blocks save little time and hold more
 # masks alive at once.
 BLOCK_BITS = 1 << 16
-# a packed low-half table of at most this many bits is kept for the life of
-# the process; a larger one is packed again for each high half that uses
-# it, one chunk at a time. Every table at n <= 5 fits (385 KiB for all of
-# n = 5's), while n = 12, k = 2 would keep 1 GiB.
+# a packed pool table of at most this many bits is kept for the life of
+# the process; a larger one is packed again for each group that uses it,
+# one chunk at a time. ``_split`` sizes every table to fit one block, so
+# this bound only bites if BLOCK_BITS is raised past it.
 TABLE_BITS = 1 << 24
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes, standard size
 _BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes -> binary digits
@@ -113,6 +125,10 @@ class EnumerationPlan:
 
     @property
     def total_to_scan(self) -> int:
+        """The subsets the plan covers, which the budget counts and a report
+        gives as ``subsets_checked``: the sample count of a seeded sample,
+        and all C(2^n, k) of an exhaustive plan, although its scan visits
+        only one symmetry slice and a colex prefix."""
         if isinstance(self.strategy, RandomSample):
             return self.strategy.count
         return self.universe_size
@@ -136,14 +152,18 @@ class EnumerationPlan:
         }
 
 
-def _colex_from(mask: int) -> Iterator[int]:
-    """Gosper's hack (HAKMEM item 175): mask, then each next bitmask with
-    the same popcount, ascending."""
+def _colex_from(mask: int, pool: int) -> Iterator[int]:
+    """Gosper's hack (HAKMEM item 175) over the vertex set ``pool``, a
+    bitmask: mask, a subset of pool, then each next subset of pool of the
+    same size, ascending. The carry runs through the vertices outside pool,
+    and the run it clears, less one vertex, refills pool's lowest ones."""
+    lowest = [0]
+    for v in islice(iter_bits(pool), mask.bit_count()):
+        lowest.append(lowest[-1] | 1 << v)
     while True:
         yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = (((ripple ^ mask) >> 2) // low) | ripple
+        ripple = ((mask | ~pool) + (mask & -mask)) & pool
+        mask = ripple | lowest[len(lowest) - 1 - ripple.bit_count()]
 
 
 def unrank_combination(rank: int, k: int) -> int:
@@ -188,16 +208,12 @@ def max_induced_degree(members: int, n: int) -> int:
 
 @dataclass
 class _ShardResult:
-    checked: int = 0
-    violations: int = 0
     min_max_degree: Optional[int] = None
     argmin_rank: Optional[int] = None
     argmin_mask: Optional[int] = None
-    histogram: Counter = field(default_factory=Counter)
+    histogram: Counter = field(default_factory=Counter)  # max degree -> weighted count
 
     def merge(self, other: "_ShardResult") -> None:
-        self.checked += other.checked
-        self.violations += other.violations
         self.histogram.update(other.histogram)
         if other.min_max_degree is None:
             return
@@ -223,10 +239,12 @@ def _pack(masks: List[int], n: int) -> int:
 
 
 def _scan_block(
-    n: int, first_rank: int, packed: int, count: int, ones: int, bound: int
+    n: int, first_rank: int, packed: int, count: int, ones: int, runs: List[Tuple[int, int]]
 ) -> _ShardResult:
     """Statistics of ``count`` packed subsets, of ranks first_rank on, from
-    one ``degree_sets`` call on their lane word ``ones``.
+    one ``degree_sets`` call on their lane word ``ones``. ``runs`` lists
+    ``(lanes, weight)`` for the block's runs of lanes in turn: each subset
+    of a run counts weight times in the histogram.
 
     A lane's flag is its top bit, set by ``((x & low) + low | x) & top``
     iff the lane of x is nonzero, so the popcount of the flags of
@@ -240,16 +258,21 @@ def _scan_block(
     least = max(d for d in range(n + 1) if counts[d] == count)
     tied = top ^ flags[least + 1]  # the lanes whose max degree is `least`
     lane = ((tied & -tied).bit_length() - 1) // width  # the smallest rank
-    return _ShardResult(
-        checked=count,
-        violations=count - counts[bound],
+    result = _ShardResult(
         min_max_degree=least,
         argmin_rank=first_rank + lane,
         argmin_mask=packed >> (lane * width) & ((1 << width) - 1),
-        histogram=Counter(
-            {d: counts[d] - counts[d + 1] for d in range(n + 1) if counts[d] > counts[d + 1]}
-        ),
     )
+    at = 0
+    for lanes, weight in runs:
+        if lanes < count:  # the run's own flags
+            run = top & ((1 << (at + lanes) * width) - (1 << at * width))
+            counts = [(f & run).bit_count() for f in flags]
+        at += lanes
+        for d in range(n + 1):
+            if counts[d] > counts[d + 1]:
+                result.histogram[d] += (counts[d] - counts[d + 1]) * weight
+    return result
 
 
 def _plan_masks(plan: EnumerationPlan, start: int) -> Iterator[int]:
@@ -269,12 +292,13 @@ def _colex_rank(mask: int) -> int:
     return sum(math.comb(b, i) for i, b in enumerate(iter_bits(mask), 1))
 
 
-def _low_chunks(n: int, c: int, lanes: int) -> Iterator[Tuple[int, int, int]]:
-    """Every c-subset of the low half's 2^(n-1) vertices in colex order,
-    packed ``lanes`` to a chunk: ``(chunk, ones, size)``, where ``ones``
-    has a 1 at the bottom of each of the chunk's lanes and ``size`` is
-    their length in bytes."""
-    masks = islice(_colex_from((1 << c) - 1), math.comb(1 << (n - 1), c))
+def _pool_chunks(n: int, pool: int, r: int, lanes: int) -> Iterator[Tuple[int, int, int]]:
+    """Every r-subset of the vertex set ``pool`` in colex order, packed
+    ``lanes`` to a chunk: ``(chunk, ones, size)``, where ``ones`` has a 1
+    at the bottom of each of the chunk's lanes and ``size`` is their length
+    in bytes."""
+    first = sum(1 << v for v in islice(iter_bits(pool), r))
+    masks = islice(_colex_from(first, pool), math.comb(pool.bit_count(), r))
     full = lane_ones(n, lanes)
     while chunk := list(islice(masks, lanes)):
         count = len(chunk)
@@ -283,19 +307,19 @@ def _low_chunks(n: int, c: int, lanes: int) -> Iterator[Tuple[int, int, int]]:
 
 
 @functools.cache
-def _low_table(n: int, c: int, lanes: int) -> Tuple[Tuple[int, int, int], ...]:
-    """``_low_chunks``, kept for the life of the process."""
-    return tuple(_low_chunks(n, c, lanes))
+def _pool_table(n: int, pool: int, r: int, lanes: int) -> Tuple[Tuple[int, int, int], ...]:
+    """``_pool_chunks``, kept for the life of the process."""
+    return tuple(_pool_chunks(n, pool, r, lanes))
 
 
-def _high_halves(half: int, k: int, first: int) -> Iterator[int]:
-    """The high halves from ``first`` on, ascending, that leave 0 to
-    ``half`` of the k vertices to the low half: those with ``lo`` to ``hi``
+def _high_halves(low: int, high: int, k: int, first: int) -> Iterator[int]:
+    """The ``high``-bit masks h from ``first`` on, ascending, that leave 0
+    to ``low`` of the k bits to the low part: those with ``lo`` to ``hi``
     bits. After h, h + 1 has at most one bit too many; clearing its lowest
     set bit and carrying its lowest run of ones one place up then gives
     the next mask with at most ``hi`` bits. One with too few bits gets
     its lowest clear bits set."""
-    lo, hi, end = max(0, k - half), min(k, half), 1 << half
+    lo, hi, end = max(0, k - low), min(k, high), 1 << high
     h = first
     while h < end:
         yield h
@@ -307,79 +331,197 @@ def _high_halves(half: int, k: int, first: int) -> Iterator[int]:
             h |= h + 1
 
 
-def _colex_blocks(
-    plan: EnumerationPlan, start: int, stop: int, lanes: int
-) -> Iterator[Tuple[int, int]]:
-    """An exhaustive plan's subsets of ranks start..stop-1, packed ``lanes``
-    to a block: ``(packed, count)``. Each high half h contributes its low
-    table's chunks with h ORed into every lane; the chunks' bytes are
-    cut into blocks, so a block may span several high halves."""
+@functools.cache
+def _split(pool: int, r: int, lanes: int) -> Tuple[int, int, Tuple[int, ...]]:
+    """How ``_pool_bytes`` enumerates pool's r-subsets: ``(split, low,
+    high)``, low being pool's ``split`` lowest vertices as a vertex set and
+    high the rest, ascending. Low is as large as it can be while each of
+    its tables, the c-subsets of low for every c the rest leaves, fits one
+    block of ``lanes``: a small pool is all low, one table."""
+    vertices = tuple(iter_bits(pool))
+    split = len(vertices)
+    # the largest table: c nearest split / 2 with r - c <= len(vertices) - split
+    while math.comb(split, min(max(split // 2, r - len(vertices) + split), r)) > lanes:
+        split -= 1
+    return split, sum(1 << v for v in vertices[:split]), vertices[split:]
+
+
+def _pool_bytes(
+    n: int, pool: int, r: int, start: int, stop: int, base: int = 0
+) -> Iterator[bytes]:
+    """The r-subsets of the vertex set ``pool`` of colex ranks start..stop-1,
+    each ORed with ``base``, as the bytes of their lanes in turn.
+
+    Colex order over pool's vertices is the numeric order of the subsets'
+    masks. Each subset h of pool's high part (``_split``), ascending, gives
+    one contiguous run of ranks, whose low parts are every (r - |h|)-subset
+    of the low part in colex order. That table, kept if it fits
+    ``TABLE_BITS``, is ORed with h's vertices in every lane: one big-int
+    operation per chunk, not one step per subset.
+    """
     if start >= stop:
         return
-    n, k = plan.n, plan.subset_size
-    half, step = 1 << (n - 1), lane_width(n) // 8
-    first = unrank_combination(start, k)
-    high = first >> half
-    tables = {
-        c: _low_table(n, c, lanes)
-        for c in range(max(0, k - half), min(k, half) + 1)
-        if math.comb(half, c) * step * 8 <= TABLE_BITS
-    }
-    # the bytes of h's group before start, dropped as they come
-    drop = _colex_rank(first & ((1 << half) - 1)) * step
-    remaining, want = (stop - start) * step, min(lanes, stop - start) * step
-    buf = bytearray()
-    for h in _high_halves(half, k, high):
-        c, spread = k - h.bit_count(), h << half
-        for chunk, ones, size in tables.get(c) or _low_chunks(n, c, lanes):
-            buf += (chunk | ones * spread).to_bytes(size, "little")
-            if drop:
-                dropped = min(drop, len(buf))
-                del buf[:dropped]
-                drop -= dropped
-            while len(buf) >= want:
-                yield int.from_bytes(buf[:want], "little"), want // step
-                del buf[:want]
-                remaining -= want
-                if not remaining:
-                    return
-                want = min(want, remaining)
+    width = lane_width(n)
+    step, lanes = width // 8, max(1, BLOCK_BITS // width)
+    split, low, high = _split(pool, r, lanes)
+    first, drop = (1 << r) - 1, 0  # rank 0
+    if start:
+        first = unrank_combination(start, r)
+        # the bytes of the first group before start, dropped as they come
+        drop = _colex_rank(first & ((1 << split) - 1)) * step
+    remaining = (stop - start) * step
+    for h in _high_halves(split, len(high), r, first >> split):
+        c = r - h.bit_count()
+        spread = base | sum(1 << high[i] for i in iter_bits(h))
+        kept = math.comb(split, c) * width <= TABLE_BITS
+        for chunk, ones, size in (_pool_table if kept else _pool_chunks)(n, low, c, lanes):
+            if drop >= size:
+                drop -= size
+                continue
+            data = (chunk | ones * spread).to_bytes(size, "little")[drop : drop + remaining]
+            drop, remaining = 0, remaining - len(data)
+            yield data
+            if not remaining:
+                return
 
 
-def _scan_shard(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
-    plan, start, stop = job
-    bound = plan.degree_bound()
+def _blocks(
+    pieces: Iterable[Tuple[bytes, int]], n: int, sizes: Iterator[int]
+) -> Iterator[Tuple[int, int, List[Tuple[int, int]]]]:
+    """Cuts ``(data, weight)`` pieces of whole lanes into blocks of
+    ``next(sizes)`` lanes: ``(packed, count, runs)``, runs being the
+    ``(lanes, weight)`` of the block's pieces in turn."""
+    step = lane_width(n) // 8
+    want, buf, runs = next(sizes) * step, bytearray(), []
+    for data, weight in pieces:
+        view = memoryview(data)
+        while len(view):
+            part, view = view[: want - len(buf)], view[want - len(buf) :]
+            buf += part
+            if runs and runs[-1][1] == weight:
+                runs[-1] = (runs[-1][0] + len(part) // step, weight)
+            else:
+                runs.append((len(part) // step, weight))
+            if len(buf) == want:
+                yield int.from_bytes(buf, "little"), want // step, runs
+                want, buf, runs = next(sizes) * step, bytearray(), []
+    if buf:
+        yield int.from_bytes(buf, "little"), len(buf) // step, runs
+
+
+def _cube(n: int) -> int:
+    """Every vertex of Q_n, as a vertex set."""
+    return (1 << (1 << n)) - 1
+
+
+@functools.cache
+def _slice(n: int, k: int) -> Tuple[int, Tuple[Tuple[int, int, int, int], ...]]:
+    """The smaller symmetry slice of the k-subsets of Q_n: ``(divisor,
+    parts)``, part j being ``(weight, base, r, length)``.
+
+    On the 0-in-H side part j is ``{0, e_1..e_j} | S``, on the other
+    ``{e_1..e_j} | S``, where S runs over the ``length`` r-subsets of the
+    vertices of weight at least 2. Translations move every subset onto
+    either side, and coordinate permutations every j-set of 0's neighbours
+    onto ``{e_1..e_j}``, so a statistic the cube's automorphisms keep sums
+    over all k-subsets to that over the parts, part j taken ``weight =
+    C(n, j) 2^n`` times, divided by ``divisor``: k with 0 in H, and
+    2^n - k without (orbit-stabilizer double counting).
+    """
+    units = [1 << (1 << i) for i in range(n)]
+    m = (1 << n) - n - 1
+    sides = [
+        tuple(
+            (math.comb(n, j) << n, zero | sum(units[:j]), k - zero - j, math.comb(m, k - zero - j))
+            for j in range(n + 1)
+            if 0 <= k - zero - j <= m
+        )
+        for zero in (1, 0)
+    ]
+    inside, outside = (sum(part[3] for part in side) for side in sides)
+    if k < 1 << n and outside < inside:
+        return (1 << n) - k, sides[1]
+    return k, sides[0]
+
+
+def _scan_blocks(plan: EnumerationPlan, first_rank: int, blocks: Iterator[tuple]) -> _ShardResult:
+    """Merges ``_scan_block`` over ``(packed, count, runs)`` blocks, the
+    first of rank first_rank."""
     lanes = max(1, BLOCK_BITS // lane_width(plan.n))
-    if isinstance(plan.strategy, RandomSample):
-        masks = _plan_masks(plan, start)
-        chunks = (list(islice(masks, min(lanes, stop - at))) for at in range(start, stop, lanes))
-        blocks = ((_pack(chunk, plan.n), len(chunk)) for chunk in chunks)
-    else:
-        blocks = _colex_blocks(plan, start, stop, lanes)
-    result, full = _ShardResult(), lane_ones(plan.n, lanes)
-    for packed, count in blocks:
+    result, rank, full = _ShardResult(), first_rank, lane_ones(plan.n, lanes)
+    for packed, count, runs in blocks:
         ones = full if count == lanes else lane_ones(plan.n, count)
-        result.merge(_scan_block(plan.n, start + result.checked, packed, count, ones, bound))
+        result.merge(_scan_block(plan.n, rank, packed, count, ones, runs))
+        rank += count
     return result
 
 
-def _run_shards(jobs: list, shards: int) -> _ShardResult:
-    """Merge the shard results in job order. Shards only partition the
-    work: the pool never starts more processes than there are CPUs."""
-    total = _ShardResult()
+def _scan_shard(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
+    """A plan's subsets of scan ranks start..stop-1: colex ranks for an
+    exhaustive plan, draws for a seeded sample."""
+    plan, start, stop = job
+    n, lanes = plan.n, max(1, BLOCK_BITS // lane_width(plan.n))
+    if isinstance(plan.strategy, RandomSample):
+        masks = _plan_masks(plan, start)
+        chunks = (list(islice(masks, min(lanes, stop - at))) for at in range(start, stop, lanes))
+        blocks = ((_pack(chunk, n), len(chunk), [(len(chunk), 1)]) for chunk in chunks)
+    else:
+        pieces = _pool_bytes(n, _cube(n), plan.subset_size, start, stop)
+        blocks = _blocks(zip(pieces, repeat(1)), n, repeat(lanes))
+    return _scan_blocks(plan, start, blocks)
+
+
+def _scan_slice(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
+    """An exhaustive plan's slice subsets of ranks start..stop-1, the
+    parts' subsets in turn, each weighted by its part. Ranks within the
+    slice mean nothing past the shard: the argmin is found elsewhere."""
+    plan, start, stop = job
+    n, lanes = plan.n, max(1, BLOCK_BITS // lane_width(plan.n))
+    _, parts = _slice(n, plan.subset_size)
+    rest = _cube(n) ^ 1 ^ sum(1 << (1 << i) for i in range(n))
+    pieces, at = [], 0
+    for weight, base, r, length in parts:
+        first, last = max(start - at, 0), min(stop - at, length)
+        pieces.append(zip(_pool_bytes(n, rest, r, first, last, base), repeat(weight)))
+        at += length
+    return _scan_blocks(plan, start, _blocks(chain.from_iterable(pieces), n, repeat(lanes)))
+
+
+def _first_argmin(plan: EnumerationPlan, least: int) -> int:
+    """The subset of smallest colex rank whose max degree is ``least``: the
+    colex prefix is scanned in blocks of 64, 256 and 1024 subsets, then
+    full blocks, until one holds such a subset."""
+    n, lanes = plan.n, max(1, BLOCK_BITS // lane_width(plan.n))
+    pieces = _pool_bytes(n, _cube(n), plan.subset_size, 0, plan.universe_size)
+    sizes = chain((min(size, lanes) for size in (64, 256, 1024)), repeat(lanes))
+    for packed, size, runs in _blocks(zip(pieces, repeat(1)), n, sizes):
+        block = _scan_block(n, 0, packed, size, lane_ones(n, size), runs)
+        if block.min_max_degree < least:
+            raise InvariantViolation("a subset's max degree is below the slice's minimum")
+        if block.min_max_degree == least:
+            return block.argmin_mask
+    raise InvariantViolation("no subset reaches the slice's minimum max degree")
+
+
+def _run_shards(scan, jobs: list, shards: int) -> _ShardResult:
+    """Merge ``scan`` of each job in job order. Shards only partition the
+    work: the pool never starts more processes than there are CPUs. If the
+    pool fails, its partial merge is dropped and every job runs here."""
     if shards > 1 and len(jobs) > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
             workers = min(shards, os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_scan_shard, jobs):
+                total = _ShardResult()
+                for result in pool.map(scan, jobs):
                     total.merge(result)
             return total
         except OSError:  # pools can be unavailable in sandboxes
             pass
+    total = _ShardResult()
     for job in jobs:
-        total.merge(_scan_shard(job))
+        total.merge(scan(job))
     return total
 
 
@@ -420,23 +562,45 @@ def random_masks(plan: EnumerationPlan) -> List[int]:
 def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
     """Scan the plan's subsets and aggregate max-degree statistics.
 
+    An exhaustive plan scans only the smaller symmetry slice (``_slice``)
+    and weighs its histogram up to all C(2^n, k) subsets, which
+    ``subsets_checked`` reports, although far fewer were scanned. Every
+    weighted bin must divide exactly and the bins must sum to C(2^n, k),
+    or InvariantViolation is raised. The argmin, the subset of smallest
+    colex rank reaching the minimum, comes from a colex prefix scan.
+
     Deterministic for a fixed plan regardless of parallel_shards: shard
     boundaries are fixed rank intervals and the merge is ordered.
     """
-    shards = min(plan.parallel_shards, plan.total_to_scan)  # more would add only empty intervals
-    cuts = [plan.total_to_scan * i // shards for i in range(shards + 1)]
+    divisor, scan, scanned = 1, _scan_shard, plan.total_to_scan
+    if not isinstance(plan.strategy, RandomSample):
+        divisor, parts = _slice(plan.n, plan.subset_size)
+        scan, scanned = _scan_slice, sum(part[3] for part in parts)
+    shards = min(plan.parallel_shards, scanned)  # more would add only empty intervals
+    cuts = [scanned * i // shards for i in range(shards + 1)]
     jobs = [(plan, start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
-    total = _run_shards(jobs, shards)
+    total = _run_shards(scan, jobs, shards)
 
     if total.min_max_degree is None:
         raise InvariantViolation("scan produced no subsets")
+    histogram = {}
+    for d, weighted in total.histogram.items():
+        histogram[d], remainder = divmod(weighted, divisor)
+        if remainder:
+            raise InvariantViolation(f"the weighted bin {d} is not a multiple of {divisor}")
+    if sum(histogram.values()) != plan.total_to_scan:
+        raise InvariantViolation(f"the bins do not sum to the plan's {plan.total_to_scan} subsets")
+    if scan is _scan_slice:
+        argmin = _first_argmin(plan, total.min_max_degree)
+    else:
+        argmin = total.argmin_mask
     return ExhaustiveReport(
         plan=plan,
-        subsets_checked=total.checked,
+        subsets_checked=plan.total_to_scan,
         min_max_degree=total.min_max_degree,
-        argmin_subset=total.argmin_mask,
-        histogram=dict(total.histogram),
-        violations=total.violations,
+        argmin_subset=argmin,
+        histogram=histogram,
+        violations=sum(histogram[d] for d in histogram if d < plan.degree_bound()),
     )
 
 

@@ -329,7 +329,7 @@ def oracle_colex(n: int, size: int) -> List[int]:
 def next_combination(mask: int) -> int:
     """The next bitmask with the same popcount, ascending: one step of the
     scan's Gosper iteration."""
-    return next(islice(_colex_from(mask), 1, None))
+    return next(islice(_colex_from(mask, (2 << mask.bit_length()) - 1), 1, None))
 
 
 def rank_combination(mask: int) -> int:

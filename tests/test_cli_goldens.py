@@ -5,9 +5,9 @@ Each case runs ``cli.main`` in process and compares its stdout with
 depend on the BLAS build. Float ``verify-operator`` is pure Python binary64
 arithmetic and is pinned.
 
-The n = 5 exhaustive report (every 17-subset of Q_5) takes minutes, so CI
-diffs it in its own step; here the committed file is checked for internal
-consistency.
+The n = 5 exhaustive reports (every 16- and 17-subset of Q_5) take
+seconds to minutes, so CI diffs them in their own steps; here the
+committed files are checked for internal consistency.
 
 To re-record after an intended report change: ``PYTHONPATH=src python
 tests/test_cli_goldens.py``.
@@ -83,6 +83,19 @@ def test_n5_exhaustive_golden_is_consistent():
     argmin = [parse_vertex(line, 5) for line in report["argmin_subset"]]
     assert len(set(argmin)) == 17
     assert InducedSubgraph.from_vertices(5, argmin).max_degree()[1] == 3
+
+
+def test_n5_size16_golden_is_consistent():
+    # half the cube: the two parity classes have max degree 0, and the even
+    # one comes first in colex order
+    report = json.loads((GOLDEN_DIR / "exhaustive-n5-size16.json").read_text())
+    assert report["plan"]["subset_size"] == 16 and report["plan"]["budget"] == 601080390
+    assert sum(report["histogram"].values()) == math.comb(32, 16) == report["subsets_checked"]
+    assert report["violations"] == sum(v for d, v in report["histogram"].items() if int(d) < 3)
+    assert report["violations"] == 2952 and report["histogram"]["0"] == 2
+    argmin = [parse_vertex(line, 5) for line in report["argmin_subset"]]
+    assert argmin == [u for u in range(32) if u.bit_count() % 2 == 0]
+    assert report["min_max_degree"] == InducedSubgraph.from_vertices(5, argmin).max_degree()[1] == 0
 
 
 if __name__ == "__main__":

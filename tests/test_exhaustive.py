@@ -150,6 +150,36 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch, serial_pool):
             assert requested == [min(shards, cpus or 1)] * 2
 
 
+def test_failing_pool_counts_no_shard_twice(monkeypatch):
+    # a pool that returns one shard's result and then fails: the serial
+    # rerun must start from nothing, not from the pool's partial merge
+    import concurrent.futures
+
+    class FailingPool:
+        def __init__(self, max_workers=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            yield fn(jobs[0])
+            raise OSError("pool lost")
+
+    plans = [EnumerationPlan(n=4), EnumerationPlan(n=4, strategy=RandomSample(count=100, seed=9))]
+    serial = [enumerate_and_verify(plan).to_json_dict() for plan in plans]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
+    for plan, expected in zip(plans, serial):
+        for shards in (2, 3):
+            sharded = EnumerationPlan(plan.n, plan.subset_size, plan.strategy, shards)
+            report = enumerate_and_verify(sharded).to_json_dict()
+            assert report == expected, shards
+    assert serial[0]["subsets_checked"] == 11440
+
+
 def test_shard_count_beyond_the_plan_allocates_nothing(serial_pool):
     # 4 subsets: a million shards must cost what 4 do, not a million cut points
     base = enumerate_and_verify(EnumerationPlan(n=2)).to_json_dict()

@@ -9,10 +9,16 @@ Core claims:
       violations, minimum and argmin (the smallest rank) for exhaustive and
       random plans, below and above half the cube
     - block and shard boundaries change nothing, ties across them included
-    - an exhaustive plan packed from the low-half tables, one high half at
-      a time, gives every size at n <= 4 exactly, with blocks ending inside
-      table chunks and high halves, tables kept or packed again, ties
-      across a high-half boundary, and shard cuts inside one high half
+    - a colex interval packed from a pool's low-part tables, one high
+      part at a time, gives every size at n <= 4 exactly, with blocks
+      ending inside table chunks and high parts, tables kept or packed
+      again, ties across a high-part boundary, and shard cuts inside one
+      high part; each low table fits one block
+    - an exhaustive plan's report, weighed up from the smaller symmetry
+      slice with its argmin from the colex prefix scan, equals the colex
+      oracle's for every size at n <= 4 and the smallest and largest
+      sizes at n = 5, with blocks across parts and shards across j; a
+      wrong weight is refused
     - the seeded draw equals the plain Floyd loop, and each shard streams
       its subsets from the plan from any start rank, building no mask for
       the draws before its start
@@ -20,6 +26,7 @@ Core claims:
 
 import concurrent.futures
 import functools
+import itertools
 import math
 import random
 from unittest import mock
@@ -28,7 +35,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubesense import EnumerationPlan, InducedSubgraph, RandomSample, enumerate_and_verify
+from cubesense import (
+    EnumerationPlan,
+    InducedSubgraph,
+    InvariantViolation,
+    RandomSample,
+    enumerate_and_verify,
+)
 from cubesense import exhaustive
 from cubesense.cube import degree_sets, lane_ones, lane_width
 from cubesense.exhaustive import max_induced_degree, random_masks, sample_mask
@@ -198,10 +211,10 @@ def test_sample_mask_matches_oracle(n):
 
 
 def unpacked(n, blocks):
-    """The masks of packed ``(packed, count)`` blocks, lane by lane."""
+    """The masks of packed ``(packed, count, runs)`` blocks, lane by lane."""
     width = lane_width(n)
     lane = (1 << width) - 1
-    return [packed >> (i * width) & lane for packed, count in blocks for i in range(count)]
+    return [packed >> (i * width) & lane for packed, count, _ in blocks for i in range(count)]
 
 
 def test_plan_masks_from_any_start():
@@ -221,7 +234,13 @@ def test_plan_masks_from_any_start():
             if isinstance(plan.strategy, RandomSample):
                 tail = list(exhaustive._plan_masks(plan, start))
             else:
-                tail = unpacked(plan.n, exhaustive._colex_blocks(plan, start, len(stream), 3))
+                pieces = exhaustive._pool_bytes(
+                    plan.n, exhaustive._cube(plan.n), plan.subset_size, start, len(stream)
+                )
+                blocks = exhaustive._blocks(
+                    zip(pieces, itertools.repeat(1)), plan.n, itertools.repeat(3)
+                )
+                tail = unpacked(plan.n, blocks)
             assert tail == stream[start:], (plan, start)
         if isinstance(plan.strategy, RandomSample):
             assert random_masks(plan) == stream
@@ -234,13 +253,13 @@ def high_groups(n, masks):
     return list(zip(cuts, cuts[1:] + [len(masks)]))
 
 
-def shard_view(result):
+def shard_view(n, result):
     return {
-        "subsets_checked": result.checked,
+        "subsets_checked": sum(result.histogram.values()),
         "min_max_degree": result.min_max_degree,
         "argmin_subset": result.argmin_mask,
         "histogram": dict(result.histogram),
-        "violations": result.violations,
+        "violations": sum(c for d, c in result.histogram.items() if d <= math.isqrt(n - 1)),
     }
 
 
@@ -257,14 +276,17 @@ def test_every_size_matches_oracle_across_chunks_and_high_halves(
     monkeypatch, n, lanes, table_bits
 ):
     # 3 and 7 lanes to a block and to a table chunk: blocks end inside
-    # chunks and inside high halves' groups. table_bits = 0 keeps no
-    # table and packs every chunk again for each high half
+    # chunks and inside high parts' groups. table_bits = 0 keeps no
+    # table and packs every chunk again for each high part. Both the
+    # whole colex interval as one shard job and the report match
     monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
     monkeypatch.setattr(exhaustive, "TABLE_BITS", table_bits)
     longest = 0
     for size in range(1, (1 << n) + 1):
         masks, expected = colex_scan(n, size)
         longest = max(longest, *(stop - first for first, stop in high_groups(n, masks)))
+        result = exhaustive._scan_shard((EnumerationPlan(n, size), 0, len(masks)))
+        assert shard_view(n, result) == expected, size
         assert report_view(n, EnumerationPlan(n, size)) == expected, size
     assert longest > lanes or n < 4 or lanes == 4096  # a chunk ends inside a group
 
@@ -291,12 +313,40 @@ def test_tie_across_a_high_half_boundary(monkeypatch):
 
 @pytest.mark.parametrize("half", [1, 2, 4, 8])
 def test_high_halves_are_exactly_those_with_room(half):
-    # every high half leaving 0..half of the k vertices to the low half,
-    # ascending from any of them, and no other
-    for k in range(1, 2 * half + 1):
-        fits = [h for h in range(1 << half) if 0 <= k - h.bit_count() <= half]
-        for i in range(0, len(fits), max(1, len(fits) // 7)):
-            assert list(exhaustive._high_halves(half, k, fits[i])) == fits[i:], (k, fits[i])
+    # every high part leaving 0..half of the k vertices to a low part of
+    # half vertices, ascending from any of them, and no other; the high
+    # part has as many vertices, or more (a pool split off centre)
+    for high in (half, half + 1, 2 * half + 1):
+        for k in range(1, half + high + 1):
+            fits = [h for h in range(1 << high) if 0 <= k - h.bit_count() <= half]
+            for i in range(0, len(fits), max(1, len(fits) // 7)):
+                got = list(exhaustive._high_halves(half, high, k, fits[i]))
+                assert got == fits[i:], (high, k, fits[i])
+
+
+def table_sizes(split, others, r):
+    """The sizes of the c-subset tables of a low part of split vertices,
+    for every c that a high part of ``others`` vertices leaves of r."""
+    return [math.comb(split, c) for c in range(max(0, r - others), min(r, split) + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_split_sizes_each_table_to_one_block(n):
+    # low is the pool's lowest vertices, as many as keep every table it
+    # needs within one block; the n = 4 slice's pool of 11 is kept whole
+    lanes = exhaustive.BLOCK_BITS // lane_width(n)
+    rest = exhaustive._cube(n) ^ 1 ^ sum(1 << (1 << i) for i in range(n))
+    for pool in (exhaustive._cube(n), rest):
+        size = pool.bit_count()
+        for r in range(size + 1):
+            split, low, high = exhaustive._split(pool, r, lanes)
+            assert low.bit_count() == split and low | sum(1 << v for v in high) == pool
+            assert low < 1 << min(high, default=1 << n)
+            assert max(table_sizes(split, size - split, r)) <= lanes, (r, split)
+            if split < size:
+                assert max(table_sizes(split + 1, size - split - 1, r)) > lanes, (r, split)
+            if n == 4 and pool == rest:
+                assert split == size == 11
 
 
 @pytest.mark.parametrize("n,size", [(3, 4), (4, 3), (4, 9), (4, 14), (5, 3)])
@@ -312,7 +362,7 @@ def test_shard_cut_inside_a_high_half(monkeypatch, n, size):
             for start, end in ((first + 1, stop - 1), (first + 1, first + 2), (first + 2, stop)):
                 result = exhaustive._scan_shard((plan, start, end))
                 expected = oracle_scan(n, masks[start:end])
-                assert shard_view(result) == expected, (first, stop, start, end)
+                assert shard_view(n, result) == expected, (first, stop, start, end)
                 first_min = masks[start:end].index(expected["argmin_subset"])
                 assert result.argmin_rank == start + first_min
 
@@ -331,7 +381,8 @@ def test_shard_builds_only_its_own_draws(monkeypatch, start, stop):
     result = exhaustive._scan_shard((plan, start, stop))
     assert len(calls) == stop - start
     expected = oracle_scan(4, oracle_random_masks(4, 9, 50, 3)[start:stop])
-    assert (result.checked, dict(result.histogram)) == (stop - start, expected["histogram"])
+    assert dict(result.histogram) == expected["histogram"]
+    assert sum(result.histogram.values()) == stop - start
 
 
 @pytest.mark.parametrize("shards", [1, 3])
@@ -343,3 +394,105 @@ def test_random_scan_builds_no_sample_list(monkeypatch, shards):
     monkeypatch.setattr(exhaustive, "random_masks", never)
     plan = EnumerationPlan(5, 17, RandomSample(700, 9), parallel_shards=shards)
     assert report_view(5, plan) == oracle_scan(5, plan_masks(plan))
+
+
+# -- the symmetry slice --------------------------------------------------------
+
+
+def slice_sides(n, k):
+    """The lengths of the 0-in-H and 0-not-in-H slices, counted directly:
+    the subsets of each form ``{0?, e_1..e_j} | S`` with S of weight >= 2."""
+    m = (1 << n) - n - 1
+    inside = sum(math.comb(m, k - 1 - j) for j in range(n + 1) if 0 <= k - 1 - j <= m)
+    outside = sum(math.comb(m, k - j) for j in range(n + 1) if 0 <= k - j <= m)
+    return inside, outside
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_slice_is_the_smaller_side(n):
+    for k in range(1, (1 << n) + 1):
+        divisor, parts = exhaustive._slice(n, k)
+        inside, outside = slice_sides(n, k)
+        length = sum(part[3] for part in parts)
+        if k < 1 << n and outside < inside:
+            assert (divisor, length) == ((1 << n) - k, outside), k
+            assert all(base & 1 == 0 for _, base, _, _ in parts)
+        else:
+            assert (divisor, length) == (k, inside), k
+            assert all(base & 1 for _, base, _, _ in parts)
+        assert [base.bit_count() + r for _, base, r, _ in parts] == [k] * len(parts)
+
+
+def test_n5_slices_hold_the_stated_shares():
+    # k = 17 scans 8.1% of its subsets, on the side without 0; both sides
+    # of k = 16 hold 50,480,055 subsets
+    divisor, parts = exhaustive._slice(5, 17)
+    assert (divisor, sum(part[3] for part in parts)) == (15, 45_878_445)
+    assert slice_sides(5, 16) == (50_480_055, 50_480_055)
+    divisor, parts = exhaustive._slice(5, 16)
+    assert (divisor, sum(part[3] for part in parts)) == (16, 50_480_055)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lanes", [1, 7, 4096])
+@pytest.mark.parametrize("table_bits", [0, 40 * 16, exhaustive.TABLE_BITS])
+def test_slice_matches_the_colex_oracle(monkeypatch, n, lanes, table_bits):
+    # every size, on 1-3 shards. 7 lanes to a block cut blocks inside
+    # parts and across j; table_bits = 0 splits every pool and keeps no
+    # table, and 640 bits keeps some and splits others
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
+    monkeypatch.setattr(exhaustive, "TABLE_BITS", table_bits)
+    runs = []
+    scan_block = exhaustive._scan_block
+
+    def recorded(*args):
+        runs.append(args[-1])
+        return scan_block(*args)
+
+    monkeypatch.setattr(exhaustive, "_scan_block", recorded)
+    for size in range(1, (1 << n) + 1):
+        _, expected = colex_scan(n, size)
+        for shards in (1, 2, 3):
+            plan = EnumerationPlan(n, size, parallel_shards=shards)
+            assert report_view(n, plan) == expected, (size, shards)
+    if n == 4 and lanes == 7:
+        assert any(len(block) > 1 for block in runs)  # a block across parts
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 28, 29, 30, 31, 32])
+def test_slice_matches_the_colex_oracle_at_n5(size):
+    _, expected = colex_scan(5, size)
+    assert report_view(5, EnumerationPlan(5, size)) == expected
+
+
+@pytest.mark.parametrize("n,size", [(2, 3), (3, 5), (4, 9), (4, 16), (5, 31)])
+def test_a_wrong_weight_is_refused(monkeypatch, n, size):
+    # one part's weight off by one: a bin stops dividing, or the bins stop
+    # summing to C(2^n, k)
+    sliced = exhaustive._slice
+
+    def wrong(n, k):
+        divisor, ((weight, *rest), *parts) = sliced(n, k)
+        return divisor, ((weight + 1, *rest), *parts)
+
+    monkeypatch.setattr(exhaustive, "_slice", wrong)
+    with pytest.raises(InvariantViolation):
+        enumerate_and_verify(EnumerationPlan(n, size))
+
+
+@pytest.mark.parametrize("lanes", [1, 64, 4096])
+def test_argmin_past_the_first_prefix_block(monkeypatch, lanes):
+    # n = 4, k = 9: the first subset of max degree 2 has colex rank 637,
+    # past the prefix scan's first block of 64 subsets
+    monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(4))
+    masks, expected = colex_scan(4, 9)
+    assert masks.index(expected["argmin_subset"]) == 637
+    report = enumerate_and_verify(EnumerationPlan(4, 9))
+    assert report.argmin_subset == expected["argmin_subset"]
+    assert exhaustive._first_argmin(EnumerationPlan(4, 9), 2) == masks[637]
+    with pytest.raises(InvariantViolation, match="no subset"):  # the minimum is 2
+        exhaustive._first_argmin(EnumerationPlan(4, 9), 1)
+    if lanes > 1:  # rank 0 has max degree 4, and the first block goes below it
+        with pytest.raises(InvariantViolation, match="below"):
+            exhaustive._first_argmin(EnumerationPlan(4, 9), 4)
