@@ -5,13 +5,16 @@ random sample) and aggregates: the minimum over subsets of the max degree
 (with the smallest-rank subset reaching it), a histogram, and the count of
 bound violations (which must be zero).
 
-Subsets are bitmasks over the 2^n vertices, scanned in rank order. A
-shard job is ``(plan, start, stop)``, so each shard derives its own
-subsets. It packs them in blocks of up to ``BLOCK_BITS`` bits, one lane
-per subset, and gets every lane's max degree from a single bit-sliced
-``cube.degree_sets`` call, so each big-int operation serves the whole
-block. A shard builds a full block's lane word ``cube.lane_ones`` once:
-the kernel derives its direction masks from it and the scan its flags.
+Subsets are bitmasks over the 2^n vertices, scanned in rank order. One
+job function, ``_scan_shard``, takes ``(plan, start, stop)``, so each
+shard derives its own subsets: a seeded sample's draws, or the subsets
+of an exhaustive plan's symmetry slice. Both reach one block loop,
+``_scan``, as bytes: it cuts them in blocks of up to ``BLOCK_BITS``
+bits, one lane per subset, and gets every lane's max degree from a
+single bit-sliced ``cube.degree_sets`` call, so each big-int operation
+serves the whole block. It builds a full block's lane word
+``cube.lane_ones`` once: the kernel derives its direction masks from it
+and the scan its flags.
 
 An exhaustive plan scans one symmetry slice of the cube (``_slice``):
 the subsets ``{0, e_1..e_j} | S``, or ``{e_1..e_j} | S`` if that side is
@@ -28,11 +31,11 @@ packed enumerator, ``_pool_bytes``. Colex order is numeric order, so a
 pool's subsets fall into one contiguous rank interval per subset h of
 its high part, h ascending, and within it the low parts are every
 (r - |h|)-subset of the pool's low part in colex order. Those are packed
-once per (pool, r - |h|) in ``_pool_table``, and each group is built
-from them as ``table_chunk | ones * h``: one big-int OR per chunk, not
+once per (pool, r - |h|) in ``_pool_table`` and kept, and each group is
+built from them as ``table | ones * h``: one big-int OR per group, not
 one step per subset. The low part is as large as keeps each of its
 tables within one block (``_split``), so a small pool is all low part,
-one kept table. A seeded sample replays its draws from the plan's seed
+one table. A seeded sample replays its draws from the plan's seed
 (``_plan_masks``) and packs them with ``_pack``.
 """
 
@@ -60,11 +63,6 @@ DEFAULT_BUDGET = 10**8
 # big-int operations, so larger blocks save little time and hold more
 # masks alive at once.
 BLOCK_BITS = 1 << 16
-# a packed pool table of at most this many bits is kept for the life of
-# the process; a larger one is packed again for each group that uses it,
-# one chunk at a time. ``_split`` sizes every table to fit one block, so
-# this bound only bites if BLOCK_BITS is raised past it.
-TABLE_BITS = 1 << 24
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes, standard size
 _BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes -> binary digits
 
@@ -208,34 +206,27 @@ def max_induced_degree(members: int, n: int) -> int:
 
 @dataclass
 class _ShardResult:
-    min_max_degree: Optional[int] = None
-    argmin_rank: Optional[int] = None
-    argmin_mask: Optional[int] = None
     histogram: Counter = field(default_factory=Counter)  # max degree -> weighted count
+    best: Optional[Tuple[int, int, int]] = None  # (max degree, rank, mask) of the argmin
 
     def merge(self, other: "_ShardResult") -> None:
         self.histogram.update(other.histogram)
-        if other.min_max_degree is None:
-            return
         # argmin ties across shards break by smallest scan rank
-        if (
-            self.min_max_degree is None
-            or (other.min_max_degree, other.argmin_rank)
-            < (self.min_max_degree, self.argmin_rank)
-        ):
-            self.min_max_degree = other.min_max_degree
-            self.argmin_rank = other.argmin_rank
-            self.argmin_mask = other.argmin_mask
+        if other.best is not None and (self.best is None or other.best < self.best):
+            self.best = other.best
 
 
-def _pack(masks: List[int], n: int) -> int:
-    """The masks side by side in one int, mask i in lane i."""
+def _lanes(n: int) -> int:
+    """The subsets one block holds."""
+    return max(1, BLOCK_BITS // lane_width(n))
+
+
+def _pack(masks: List[int], n: int) -> bytes:
+    """The bytes of the masks' lanes, mask i in lane i."""
     width = lane_width(n)
     if width in _LANE_FORMATS:
-        data = struct.pack(f"<{len(masks)}{_LANE_FORMATS[width]}", *masks)
-    else:
-        data = b"".join(m.to_bytes(width // 8, "little") for m in masks)
-    return int.from_bytes(data, "little")
+        return struct.pack(f"<{len(masks)}{_LANE_FORMATS[width]}", *masks)
+    return b"".join(m.to_bytes(width // 8, "little") for m in masks)
 
 
 def _scan_block(
@@ -259,9 +250,7 @@ def _scan_block(
     tied = top ^ flags[least + 1]  # the lanes whose max degree is `least`
     lane = ((tied & -tied).bit_length() - 1) // width  # the smallest rank
     result = _ShardResult(
-        min_max_degree=least,
-        argmin_rank=first_rank + lane,
-        argmin_mask=packed >> (lane * width) & ((1 << width) - 1),
+        best=(least, first_rank + lane, packed >> (lane * width) & ((1 << width) - 1))
     )
     at = 0
     for lanes, weight in runs:
@@ -292,24 +281,17 @@ def _colex_rank(mask: int) -> int:
     return sum(math.comb(b, i) for i, b in enumerate(iter_bits(mask), 1))
 
 
-def _pool_chunks(n: int, pool: int, r: int, lanes: int) -> Iterator[Tuple[int, int, int]]:
-    """Every r-subset of the vertex set ``pool`` in colex order, packed
-    ``lanes`` to a chunk: ``(chunk, ones, size)``, where ``ones`` has a 1
-    at the bottom of each of the chunk's lanes and ``size`` is their length
-    in bytes."""
-    first = sum(1 << v for v in islice(iter_bits(pool), r))
-    masks = islice(_colex_from(first, pool), math.comb(pool.bit_count(), r))
-    full = lane_ones(n, lanes)
-    while chunk := list(islice(masks, lanes)):
-        count = len(chunk)
-        ones = full if count == lanes else lane_ones(n, count)
-        yield _pack(chunk, n), ones, count * lane_width(n) // 8
-
-
 @functools.cache
-def _pool_table(n: int, pool: int, r: int, lanes: int) -> Tuple[Tuple[int, int, int], ...]:
-    """``_pool_chunks``, kept for the life of the process."""
-    return tuple(_pool_chunks(n, pool, r, lanes))
+def _pool_table(n: int, pool: int, r: int) -> Tuple[int, int, int]:
+    """Every r-subset of the vertex set ``pool`` in colex order, packed and
+    kept for the life of the process: ``(table, ones, size)``, where
+    ``ones`` has a 1 at the bottom of each of the table's lanes and
+    ``size`` is their length in bytes. ``_split`` keeps each table within
+    one block."""
+    first = sum(1 << v for v in islice(iter_bits(pool), r))
+    masks = list(islice(_colex_from(first, pool), math.comb(pool.bit_count(), r)))
+    data = _pack(masks, n)
+    return int.from_bytes(data, "little"), lane_ones(n, len(masks)), len(data)
 
 
 def _high_halves(low: int, high: int, k: int, first: int) -> Iterator[int]:
@@ -355,34 +337,28 @@ def _pool_bytes(
     Colex order over pool's vertices is the numeric order of the subsets'
     masks. Each subset h of pool's high part (``_split``), ascending, gives
     one contiguous run of ranks, whose low parts are every (r - |h|)-subset
-    of the low part in colex order. That table, kept if it fits
-    ``TABLE_BITS``, is ORed with h's vertices in every lane: one big-int
-    operation per chunk, not one step per subset.
+    of the low part in colex order. That table is ORed with h's vertices
+    in every lane: one big-int operation per group, not one step per
+    subset.
     """
     if start >= stop:
         return
-    width = lane_width(n)
-    step, lanes = width // 8, max(1, BLOCK_BITS // width)
-    split, low, high = _split(pool, r, lanes)
+    step = lane_width(n) // 8
+    split, low, high = _split(pool, r, _lanes(n))
     first, drop = (1 << r) - 1, 0  # rank 0
     if start:
         first = unrank_combination(start, r)
-        # the bytes of the first group before start, dropped as they come
+        # the bytes of the first group before start, dropped
         drop = _colex_rank(first & ((1 << split) - 1)) * step
     remaining = (stop - start) * step
     for h in _high_halves(split, len(high), r, first >> split):
-        c = r - h.bit_count()
+        table, ones, size = _pool_table(n, low, r - h.bit_count())
         spread = base | sum(1 << high[i] for i in iter_bits(h))
-        kept = math.comb(split, c) * width <= TABLE_BITS
-        for chunk, ones, size in (_pool_table if kept else _pool_chunks)(n, low, c, lanes):
-            if drop >= size:
-                drop -= size
-                continue
-            data = (chunk | ones * spread).to_bytes(size, "little")[drop : drop + remaining]
-            drop, remaining = 0, remaining - len(data)
-            yield data
-            if not remaining:
-                return
+        data = (table | ones * spread).to_bytes(size, "little")[drop : drop + remaining]
+        drop, remaining = 0, remaining - len(data)
+        yield data
+        if not remaining:
+            return
 
 
 def _blocks(
@@ -444,85 +420,82 @@ def _slice(n: int, k: int) -> Tuple[int, Tuple[Tuple[int, int, int, int], ...]]:
     return k, sides[0]
 
 
-def _scan_blocks(plan: EnumerationPlan, first_rank: int, blocks: Iterator[tuple]) -> _ShardResult:
-    """Merges ``_scan_block`` over ``(packed, count, runs)`` blocks, the
-    first of rank first_rank."""
-    lanes = max(1, BLOCK_BITS // lane_width(plan.n))
-    result, rank, full = _ShardResult(), first_rank, lane_ones(plan.n, lanes)
-    for packed, count, runs in blocks:
-        ones = full if count == lanes else lane_ones(plan.n, count)
-        result.merge(_scan_block(plan.n, rank, packed, count, ones, runs))
-        rank += count
-    return result
+def _scan(
+    n: int, pieces: Iterable[Tuple[bytes, int]], first_rank: int, prefix: Tuple[int, ...] = ()
+) -> Iterator[_ShardResult]:
+    """``_scan_block`` of each block ``_blocks`` cuts from pieces, in turn,
+    the first of rank first_rank: blocks of the ``prefix`` sizes, capped
+    at a full block, then full blocks. The full block's lane word is
+    built once, when the first full block comes."""
+    lanes, full = _lanes(n), 0
+    sizes = chain((min(size, lanes) for size in prefix), repeat(lanes))
+    for packed, count, runs in _blocks(pieces, n, sizes):
+        if count < lanes:
+            ones = lane_ones(n, count)
+        else:
+            ones = full = full or lane_ones(n, lanes)
+        yield _scan_block(n, first_rank, packed, count, ones, runs)
+        first_rank += count
+
+
+def _merged(results: Iterable[_ShardResult]) -> _ShardResult:
+    total = _ShardResult()
+    for result in results:
+        total.merge(result)
+    return total
 
 
 def _scan_shard(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
-    """A plan's subsets of scan ranks start..stop-1: colex ranks for an
-    exhaustive plan, draws for a seeded sample."""
+    """A plan's subsets of scan ranks start..stop-1: a seeded sample's
+    draws, or an exhaustive plan's slice subsets, the parts' subsets in
+    turn, each weighted by its part. Ranks within the slice mean nothing
+    past the shard: the argmin is found elsewhere."""
     plan, start, stop = job
-    n, lanes = plan.n, max(1, BLOCK_BITS // lane_width(plan.n))
+    n = plan.n
     if isinstance(plan.strategy, RandomSample):
-        masks = _plan_masks(plan, start)
+        masks, lanes = _plan_masks(plan, start), _lanes(n)
         chunks = (list(islice(masks, min(lanes, stop - at))) for at in range(start, stop, lanes))
-        blocks = ((_pack(chunk, n), len(chunk), [(len(chunk), 1)]) for chunk in chunks)
+        pieces = ((_pack(chunk, n), 1) for chunk in chunks)
     else:
-        pieces = _pool_bytes(n, _cube(n), plan.subset_size, start, stop)
-        blocks = _blocks(zip(pieces, repeat(1)), n, repeat(lanes))
-    return _scan_blocks(plan, start, blocks)
-
-
-def _scan_slice(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
-    """An exhaustive plan's slice subsets of ranks start..stop-1, the
-    parts' subsets in turn, each weighted by its part. Ranks within the
-    slice mean nothing past the shard: the argmin is found elsewhere."""
-    plan, start, stop = job
-    n, lanes = plan.n, max(1, BLOCK_BITS // lane_width(plan.n))
-    _, parts = _slice(n, plan.subset_size)
-    rest = _cube(n) ^ 1 ^ sum(1 << (1 << i) for i in range(n))
-    pieces, at = [], 0
-    for weight, base, r, length in parts:
-        first, last = max(start - at, 0), min(stop - at, length)
-        pieces.append(zip(_pool_bytes(n, rest, r, first, last, base), repeat(weight)))
-        at += length
-    return _scan_blocks(plan, start, _blocks(chain.from_iterable(pieces), n, repeat(lanes)))
+        _, parts = _slice(n, plan.subset_size)
+        rest = _cube(n) ^ 1 ^ sum(1 << (1 << i) for i in range(n))
+        pieces, at = [], 0
+        for weight, base, r, length in parts:
+            first, last = max(start - at, 0), min(stop - at, length)
+            pieces.append(zip(_pool_bytes(n, rest, r, first, last, base), repeat(weight)))
+            at += length
+        pieces = chain.from_iterable(pieces)
+    return _merged(_scan(n, pieces, start))
 
 
 def _first_argmin(plan: EnumerationPlan, least: int) -> int:
     """The subset of smallest colex rank whose max degree is ``least``: the
     colex prefix is scanned in blocks of 64, 256 and 1024 subsets, then
     full blocks, until one holds such a subset."""
-    n, lanes = plan.n, max(1, BLOCK_BITS // lane_width(plan.n))
+    n = plan.n
     pieces = _pool_bytes(n, _cube(n), plan.subset_size, 0, plan.universe_size)
-    sizes = chain((min(size, lanes) for size in (64, 256, 1024)), repeat(lanes))
-    for packed, size, runs in _blocks(zip(pieces, repeat(1)), n, sizes):
-        block = _scan_block(n, 0, packed, size, lane_ones(n, size), runs)
-        if block.min_max_degree < least:
+    for block in _scan(n, zip(pieces, repeat(1)), 0, (64, 256, 1024)):
+        degree, _, mask = block.best
+        if degree < least:
             raise InvariantViolation("a subset's max degree is below the slice's minimum")
-        if block.min_max_degree == least:
-            return block.argmin_mask
+        if degree == least:
+            return mask
     raise InvariantViolation("no subset reaches the slice's minimum max degree")
 
 
-def _run_shards(scan, jobs: list, shards: int) -> _ShardResult:
-    """Merge ``scan`` of each job in job order. Shards only partition the
-    work: the pool never starts more processes than there are CPUs. If the
-    pool fails, its partial merge is dropped and every job runs here."""
-    if shards > 1 and len(jobs) > 1:
+def _run_shards(jobs: list) -> _ShardResult:
+    """Merge ``_scan_shard`` of each job in job order, one process per job.
+    If the pool fails, its partial merge is dropped and every job runs
+    here."""
+    if len(jobs) > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            workers = min(shards, os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                total = _ShardResult()
-                for result in pool.map(scan, jobs):
-                    total.merge(result)
-            return total
+            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+                return _merged(pool.map(_scan_shard, jobs))
         except OSError:  # pools can be unavailable in sandboxes
             pass
-    total = _ShardResult()
-    for job in jobs:
-        total.merge(scan(job))
-    return total
+    return _merged(map(_scan_shard, jobs))
 
 
 @dataclass(frozen=True)
@@ -572,17 +545,20 @@ def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
     Deterministic for a fixed plan regardless of parallel_shards: shard
     boundaries are fixed rank intervals and the merge is ordered.
     """
-    divisor, scan, scanned = 1, _scan_shard, plan.total_to_scan
-    if not isinstance(plan.strategy, RandomSample):
+    divisor, scanned = 1, plan.total_to_scan
+    sample = isinstance(plan.strategy, RandomSample)
+    if not sample:
         divisor, parts = _slice(plan.n, plan.subset_size)
-        scan, scanned = _scan_slice, sum(part[3] for part in parts)
-    shards = min(plan.parallel_shards, scanned)  # more would add only empty intervals
+        scanned = sum(part[3] for part in parts)
+    # more shards than CPUs would add processes that only replay draws or
+    # wait, and more than subsets only empty intervals
+    shards = min(plan.parallel_shards, os.cpu_count() or 1, scanned)
     cuts = [scanned * i // shards for i in range(shards + 1)]
-    jobs = [(plan, start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
-    total = _run_shards(scan, jobs, shards)
+    total = _run_shards([(plan, start, stop) for start, stop in zip(cuts, cuts[1:])])
 
-    if total.min_max_degree is None:
+    if total.best is None:
         raise InvariantViolation("scan produced no subsets")
+    least, _, argmin = total.best
     histogram = {}
     for d, weighted in total.histogram.items():
         histogram[d], remainder = divmod(weighted, divisor)
@@ -590,14 +566,12 @@ def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
             raise InvariantViolation(f"the weighted bin {d} is not a multiple of {divisor}")
     if sum(histogram.values()) != plan.total_to_scan:
         raise InvariantViolation(f"the bins do not sum to the plan's {plan.total_to_scan} subsets")
-    if scan is _scan_slice:
-        argmin = _first_argmin(plan, total.min_max_degree)
-    else:
-        argmin = total.argmin_mask
+    if not sample:
+        argmin = _first_argmin(plan, least)
     return ExhaustiveReport(
         plan=plan,
         subsets_checked=plan.total_to_scan,
-        min_max_degree=total.min_max_degree,
+        min_max_degree=least,
         argmin_subset=argmin,
         histogram=histogram,
         violations=sum(histogram[d] for d in histogram if d < plan.degree_bound()),

@@ -5,7 +5,8 @@ Core claims:
     - the scan reproduces the independent itertools oracle for n = 2, 3, 4
       (goldens below were first computed by that oracle, then frozen)
     - zero violations of the ceil(sqrt(n)) bound anywhere
-    - reports are identical across shard-count variations and reruns
+    - reports are identical across shard-count variations and reruns, and
+      no plan cuts more shard jobs than there are CPUs
     - the spectral pipeline agrees with the combinatorial scan on samples
 """
 
@@ -19,11 +20,13 @@ import pytest
 from cubesense import (
     BudgetExceededError,
     EnumerationPlan,
+    Exhaustive,
     InducedSubgraph,
     RandomSample,
     cross_check_with_witness,
     enumerate_and_verify,
 )
+from cubesense import exhaustive
 from cubesense.exhaustive import (
     max_induced_degree,
     random_masks,
@@ -99,7 +102,9 @@ def test_argmin_subset_is_deterministic():
     assert max_induced_degree(report.argmin_subset, 3) == report.min_max_degree
 
 
-def test_shard_variations_produce_identical_reports():
+def test_shard_variations_produce_identical_reports(monkeypatch):
+    # a real pool of 2, 4 and 8 workers, whatever the machine's CPU count
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     base = enumerate_and_verify(EnumerationPlan(n=4)).to_json_dict()
     for shards in (2, 4, 8):
         sharded = enumerate_and_verify(
@@ -139,7 +144,7 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch, serial_pool):
     sample = RandomSample(count=100, seed=9)
     sample_base = enumerate_and_verify(EnumerationPlan(n=4, strategy=sample)).to_json_dict()
     assert requested == []  # one shard never builds a pool
-    for cpus in (2, None, 64):
+    for cpus in (2, None, 1, 64):
         monkeypatch.setattr("os.cpu_count", lambda cpus=cpus: cpus)
         for shards in (5, 1000):
             requested.clear()
@@ -147,7 +152,30 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch, serial_pool):
             assert enumerate_and_verify(plan).to_json_dict() == base
             plan = EnumerationPlan(n=4, strategy=sample, parallel_shards=shards)
             assert enumerate_and_verify(plan).to_json_dict() == sample_base
-            assert requested == [min(shards, cpus or 1)] * 2
+            # one CPU, or an unknown count, runs the one job here: no pool
+            workers = min(shards, cpus or 1)
+            assert requested == ([workers] * 2 if workers > 1 else [])
+
+
+@pytest.mark.parametrize(
+    "strategy", [Exhaustive(), RandomSample(count=400, seed=0)], ids=["exhaustive", "random"]
+)
+def test_shard_jobs_capped_at_cpu_count(monkeypatch, serial_pool, strategy):
+    # a sample's shard replays every draw before its start, so a job past
+    # the CPU count only adds work: 400 shards on 2 CPUs run 2 jobs
+    scan_shard, jobs = exhaustive._scan_shard, []
+
+    def counted(job):
+        jobs.append(job[1:])
+        return scan_shard(job)
+
+    base = enumerate_and_verify(EnumerationPlan(n=4, strategy=strategy)).to_json_dict()
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(exhaustive, "_scan_shard", counted)
+    plan = EnumerationPlan(n=4, strategy=strategy, parallel_shards=400)
+    assert enumerate_and_verify(plan).to_json_dict() == base
+    assert len(jobs) == 2 and jobs[0][0] == 0 and jobs[0][1] == jobs[1][0]
+    assert serial_pool == [2]
 
 
 def test_failing_pool_counts_no_shard_twice(monkeypatch):
@@ -172,6 +200,7 @@ def test_failing_pool_counts_no_shard_twice(monkeypatch):
     plans = [EnumerationPlan(n=4), EnumerationPlan(n=4, strategy=RandomSample(count=100, seed=9))]
     serial = [enumerate_and_verify(plan).to_json_dict() for plan in plans]
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
     for plan, expected in zip(plans, serial):
         for shards in (2, 3):
             sharded = EnumerationPlan(plan.n, plan.subset_size, plan.strategy, shards)
@@ -180,8 +209,10 @@ def test_failing_pool_counts_no_shard_twice(monkeypatch):
     assert serial[0]["subsets_checked"] == 11440
 
 
-def test_shard_count_beyond_the_plan_allocates_nothing(serial_pool):
-    # 4 subsets: a million shards must cost what 4 do, not a million cut points
+def test_shard_count_beyond_the_plan_allocates_nothing(monkeypatch, serial_pool):
+    # 4 subsets: a million shards must cost what 4 do, not a million cut
+    # points, even with as many CPUs
+    monkeypatch.setattr("os.cpu_count", lambda: 10**6)
     base = enumerate_and_verify(EnumerationPlan(n=2)).to_json_dict()
     plan = EnumerationPlan(n=2, parallel_shards=10**6)
     tracemalloc.start()

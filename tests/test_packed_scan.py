@@ -9,11 +9,12 @@ Core claims:
       violations, minimum and argmin (the smallest rank) for exhaustive and
       random plans, below and above half the cube
     - block and shard boundaries change nothing, ties across them included
-    - a colex interval packed from a pool's low-part tables, one high
-      part at a time, gives every size at n <= 4 exactly, with blocks
-      ending inside table chunks and high parts, tables kept or packed
-      again, ties across a high-part boundary, and shard cuts inside one
-      high part; each low table fits one block
+    - the full cube's colex order, packed from its low-part tables one
+      high part at a time, gives every size at n <= 4 exactly, from
+      starts and to stops inside one high part and with blocks ending
+      inside high parts; each low table fits one block
+    - the smallest rank wins a tie across a high-part boundary, in the
+      block loop from any start and in the colex prefix scan
     - an exhaustive plan's report, weighed up from the smaller symmetry
       slice with its argmin from the colex prefix scan, equals the colex
       oracle's for every size at n <= 4 and the smallest and largest
@@ -160,6 +161,7 @@ def test_block_and_shard_boundaries(monkeypatch, block_bits):
     # stay the smallest rank whichever block or shard holds it (blocks of
     # 8 bits hold one subset each)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
     monkeypatch.setattr(exhaustive, "BLOCK_BITS", block_bits)
     plans = [
         EnumerationPlan(3, 5),
@@ -189,6 +191,7 @@ def test_random_plans_match_oracle_property(n, data):
     shards = data.draw(st.integers(1, 3), label="shards")
     block_bits = data.draw(st.integers(1, 40), label="block_subsets") * lane_width(n)
     with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", SerialPool), \
+            mock.patch("os.cpu_count", lambda: 3), \
             mock.patch.object(exhaustive, "BLOCK_BITS", block_bits):
         plan = EnumerationPlan(n, size, RandomSample(count, seed), parallel_shards=shards)
         assert report_view(n, plan) == oracle_scan(n, plan_masks(plan))
@@ -246,18 +249,37 @@ def test_plan_masks_from_any_start():
             assert random_masks(plan) == stream
 
 
-def high_groups(n, masks):
-    """The rank intervals [first, stop) of equal high halves in a colex list."""
-    half = 1 << (n - 1)
-    cuts = [0] + [r for r in range(1, len(masks)) if masks[r] >> half != masks[r - 1] >> half]
+def high_groups(masks, split):
+    """The rank intervals [first, stop) of equal high parts, the vertices
+    from ``split`` on, in a colex list."""
+    cuts = [0] + [r for r in range(1, len(masks)) if masks[r] >> split != masks[r - 1] >> split]
     return list(zip(cuts, cuts[1:] + [len(masks)]))
 
 
+def cube_split(n, size):
+    """Where ``_pool_bytes`` splits the full cube's vertices for size-subsets."""
+    return exhaustive._split(exhaustive._cube(n), size, exhaustive._lanes(n))[0]
+
+
+def cube_blocks(n, size, start, stop, lanes):
+    """The blocks of ``lanes`` subsets that ``_blocks`` cuts from the full
+    cube's colex ranks start..stop-1."""
+    pieces = exhaustive._pool_bytes(n, exhaustive._cube(n), size, start, stop)
+    return exhaustive._blocks(zip(pieces, itertools.repeat(1)), n, itertools.repeat(lanes))
+
+
+def cube_scan(n, size, start, stop, prefix=()):
+    """The merged ``_scan`` of the full cube's colex ranks start..stop-1."""
+    pieces = exhaustive._pool_bytes(n, exhaustive._cube(n), size, start, stop)
+    return exhaustive._merged(exhaustive._scan(n, zip(pieces, itertools.repeat(1)), start, prefix))
+
+
 def shard_view(n, result):
+    least, _, argmin = result.best
     return {
         "subsets_checked": sum(result.histogram.values()),
-        "min_max_degree": result.min_max_degree,
-        "argmin_subset": result.argmin_mask,
+        "min_max_degree": least,
+        "argmin_subset": argmin,
         "histogram": dict(result.histogram),
         "violations": sum(c for d, c in result.histogram.items() if d <= math.isqrt(n - 1)),
     }
@@ -271,44 +293,44 @@ def colex_scan(n, size):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("lanes", [3, 7, 4096])
-@pytest.mark.parametrize("table_bits", [0, exhaustive.TABLE_BITS])
-def test_every_size_matches_oracle_across_chunks_and_high_halves(
-    monkeypatch, n, lanes, table_bits
-):
-    # 3 and 7 lanes to a block and to a table chunk: blocks end inside
-    # chunks and inside high parts' groups. table_bits = 0 keeps no
-    # table and packs every chunk again for each high part. Both the
-    # whole colex interval as one shard job and the report match
+def test_every_size_matches_oracle_across_chunks_and_high_halves(monkeypatch, n, lanes):
+    # 3 and 7 lanes to a block: blocks end inside high parts' groups. The
+    # whole colex order, its block loop and the report all match
     monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
-    monkeypatch.setattr(exhaustive, "TABLE_BITS", table_bits)
-    longest = 0
+    inside = False
     for size in range(1, (1 << n) + 1):
         masks, expected = colex_scan(n, size)
-        longest = max(longest, *(stop - first for first, stop in high_groups(n, masks)))
-        result = exhaustive._scan_shard((EnumerationPlan(n, size), 0, len(masks)))
-        assert shard_view(n, result) == expected, size
+        assert unpacked(n, cube_blocks(n, size, 0, len(masks), lanes)) == masks, size
+        assert shard_view(n, cube_scan(n, size, 0, len(masks))) == expected, size
         assert report_view(n, EnumerationPlan(n, size)) == expected, size
-    assert longest > lanes or n < 4 or lanes == 4096  # a chunk ends inside a group
+        starts = {first for first, _ in high_groups(masks, cube_split(n, size))}
+        inside = inside or any(end not in starts for end in range(lanes, len(masks), lanes))
+    assert inside or n < 4 or lanes == 4096  # a block ends inside a group
 
 
 def test_tie_across_a_high_half_boundary(monkeypatch):
-    # consecutive subsets of the minimum max degree in adjacent high halves:
-    # whatever the block size, the earlier one is the argmin
+    # consecutive subsets of the minimum max degree in adjacent high parts:
+    # whatever the blocks, the earlier one is the argmin, in the block loop
+    # from either start and in the colex prefix scan
     n, size = 4, 9
-    plan, half = EnumerationPlan(n, size), 1 << (n - 1)
-    masks = oracle_colex(n, size)
+    masks, expected = colex_scan(n, size)
+    least = expected["min_max_degree"]
     degree = [oracle_max_degree(n, [u for u in range(1 << n) if m >> u & 1]) for m in masks]
-    tied = [r for r, d in enumerate(degree) if d == min(degree)]
-    pairs = [(i, j) for i, j in zip(tied, tied[1:]) if masks[i] >> half != masks[j] >> half]
-    assert pairs
-    for i, j in pairs[:4]:
-        boundary = next(first for first, stop in high_groups(n, masks) if i < first <= j)
-        for lanes in (1, 2, boundary - i, j + 1 - i):
-            monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
-            result = exhaustive._scan_shard((plan, i, j + 1))
-            assert (result.argmin_rank, result.argmin_mask) == (i, masks[i]), (i, j, lanes)
-            result = exhaustive._scan_shard((plan, boundary, j + 1))
-            assert (result.argmin_rank, result.argmin_mask) == (j, masks[j]), (i, j, lanes)
+    tied = [r for r, d in enumerate(degree) if d == least]
+    for lanes in (1, 2, 7, 64):
+        monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
+        split = cube_split(n, size)
+        pairs = [(i, j) for i, j in zip(tied, tied[1:]) if masks[i] >> split != masks[j] >> split]
+        assert pairs[0][0] == tied[0], lanes  # the argmin itself ties across a boundary
+        assert exhaustive._first_argmin(EnumerationPlan(n, size), least) == masks[tied[0]]
+        for i, j in pairs[:4]:
+            boundary = next(first for first, _ in high_groups(masks, split) if i < first <= j)
+            # the first block ends one past i, at the boundary, at j or past j
+            for first_block in (1, boundary - i, j - i, j + 1 - i):
+                result = cube_scan(n, size, i, j + 1, (first_block,))
+                assert result.best == (least, i, masks[i]), (i, j, lanes, first_block)
+                result = cube_scan(n, size, boundary, j + 1, (first_block,))
+                assert result.best == (least, j, masks[j]), (i, j, lanes, first_block)
 
 
 @pytest.mark.parametrize("half", [1, 2, 4, 8])
@@ -333,8 +355,9 @@ def table_sizes(split, others, r):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_split_sizes_each_table_to_one_block(n):
     # low is the pool's lowest vertices, as many as keep every table it
-    # needs within one block; the n = 4 slice's pool of 11 is kept whole
-    lanes = exhaustive.BLOCK_BITS // lane_width(n)
+    # needs within one block, so no packed table outgrows a block; the
+    # n = 4 slice's pool of 11 is kept whole
+    lanes, step = exhaustive._lanes(n), lane_width(n) // 8
     rest = exhaustive._cube(n) ^ 1 ^ sum(1 << (1 << i) for i in range(n))
     for pool in (exhaustive._cube(n), rest):
         size = pool.bit_count()
@@ -343,6 +366,10 @@ def test_split_sizes_each_table_to_one_block(n):
             assert low.bit_count() == split and low | sum(1 << v for v in high) == pool
             assert low < 1 << min(high, default=1 << n)
             assert max(table_sizes(split, size - split, r)) <= lanes, (r, split)
+            for c in range(max(0, r - (size - split)), min(r, split) + 1):
+                _, ones, nbytes = exhaustive._pool_table(n, low, c)
+                assert ones == lane_ones(n, math.comb(split, c))
+                assert nbytes == math.comb(split, c) * step <= lanes * step, (r, c)
             if split < size:
                 assert max(table_sizes(split + 1, size - split - 1, r)) > lanes, (r, split)
             if n == 4 and pool == rest:
@@ -351,20 +378,22 @@ def test_split_sizes_each_table_to_one_block(n):
 
 @pytest.mark.parametrize("n,size", [(3, 4), (4, 3), (4, 9), (4, 14), (5, 3)])
 def test_shard_cut_inside_a_high_half(monkeypatch, n, size):
-    # start and stop both fall inside one high half's group
-    plan = EnumerationPlan(n, size)
+    # start and stop both fall inside one high part's group of the full
+    # cube's colex order: its masks in blocks of 3, and the block loop's
+    # statistics with the argmin's rank, match the oracle's slice
     masks = oracle_colex(n, size)
-    groups = [(first, stop) for first, stop in high_groups(n, masks) if stop - first >= 4]
-    assert groups
-    for lanes in (2, 4096):
+    for lanes in (7, 4096):  # groups of at most 7, and as long as a table of 4096
         monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
+        groups = high_groups(masks, cube_split(n, size))
+        groups = [(first, stop) for first, stop in groups if stop - first >= 4]
+        assert groups, lanes
         for first, stop in groups[:: max(1, len(groups) // 5)]:
             for start, end in ((first + 1, stop - 1), (first + 1, first + 2), (first + 2, stop)):
-                result = exhaustive._scan_shard((plan, start, end))
+                assert unpacked(n, cube_blocks(n, size, start, end, 3)) == masks[start:end]
+                result = cube_scan(n, size, start, end)
                 expected = oracle_scan(n, masks[start:end])
                 assert shard_view(n, result) == expected, (first, stop, start, end)
-                first_min = masks[start:end].index(expected["argmin_subset"])
-                assert result.argmin_rank == start + first_min
+                assert result.best[1] == start + masks[start:end].index(result.best[2])
 
 
 @pytest.mark.parametrize("start, stop", [(0, 7), (13, 20), (49, 50)])
@@ -391,6 +420,7 @@ def test_random_scan_builds_no_sample_list(monkeypatch, shards):
         raise AssertionError("the scan built the whole sample")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
     monkeypatch.setattr(exhaustive, "random_masks", never)
     plan = EnumerationPlan(5, 17, RandomSample(700, 9), parallel_shards=shards)
     assert report_view(5, plan) == oracle_scan(5, plan_masks(plan))
@@ -435,14 +465,13 @@ def test_n5_slices_hold_the_stated_shares():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("lanes", [1, 7, 4096])
-@pytest.mark.parametrize("table_bits", [0, 40 * 16, exhaustive.TABLE_BITS])
-def test_slice_matches_the_colex_oracle(monkeypatch, n, lanes, table_bits):
+def test_slice_matches_the_colex_oracle(monkeypatch, n, lanes):
     # every size, on 1-3 shards. 7 lanes to a block cut blocks inside
-    # parts and across j; table_bits = 0 splits every pool and keeps no
-    # table, and 640 bits keeps some and splits others
+    # parts and across j; 1 lane splits every pool, and 4096 keeps the
+    # n <= 4 pools whole
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
     monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
-    monkeypatch.setattr(exhaustive, "TABLE_BITS", table_bits)
     runs = []
     scan_block = exhaustive._scan_block
 
@@ -490,7 +519,16 @@ def test_argmin_past_the_first_prefix_block(monkeypatch, lanes):
     assert masks.index(expected["argmin_subset"]) == 637
     report = enumerate_and_verify(EnumerationPlan(4, 9))
     assert report.argmin_subset == expected["argmin_subset"]
+    counts, scan_block = [], exhaustive._scan_block
+    monkeypatch.setattr(
+        exhaustive, "_scan_block", lambda *args: counts.append(args[3]) or scan_block(*args)
+    )
     assert exhaustive._first_argmin(EnumerationPlan(4, 9), 2) == masks[637]
+    # blocks of 64, 256 and 1024 subsets, each capped at a full block, up
+    # to the one that holds rank 637
+    sizes = [min(size, lanes) for size in (64, 256, 1024)] + [lanes] * 637
+    last = next(i for i, end in enumerate(itertools.accumulate(sizes)) if end > 637)
+    assert counts == sizes[: last + 1]
     with pytest.raises(InvariantViolation, match="no subset"):  # the minimum is 2
         exhaustive._first_argmin(EnumerationPlan(4, 9), 1)
     if lanes > 1:  # rank 0 has max degree 4, and the first block goes below it
