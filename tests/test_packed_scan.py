@@ -11,8 +11,9 @@ Core claims:
     - block and shard boundaries change nothing, ties across them included
     - the full cube's colex order, packed from its low-part tables one
       high part at a time, gives every size at n <= 4 exactly, from
-      starts and to stops inside one high part and with blocks ending
-      inside high parts; each low table fits one block
+      starts and to stops inside one high part, with blocks ending
+      inside high parts and tables kept or packed again; each low table
+      fits one block
     - the smallest rank wins a tie across a high-part boundary, in the
       block loop from any start and in the colex prefix scan
     - an exhaustive plan's report, weighed up from the smaller symmetry
@@ -285,6 +286,25 @@ def shard_view(n, result):
     }
 
 
+def keep_tables(monkeypatch, table_bits):
+    """Keeps ``_pool_table``'s tables only up to ``table_bits`` bits in all:
+    past that, a table is packed again for each high part's group that
+    asks for it. Returns the ``(n, pool, r)`` of every table packed."""
+    build, kept, packed = exhaustive._pool_table.__wrapped__, {}, []
+
+    def table(n, pool, r):
+        if (n, pool, r) in kept:
+            return kept[n, pool, r]
+        packed.append((n, pool, r))
+        result = build(n, pool, r)
+        if 8 * (sum(size for *_, size in kept.values()) + result[2]) <= table_bits:
+            kept[n, pool, r] = result
+        return result
+
+    monkeypatch.setattr(exhaustive, "_pool_table", table)
+    return packed
+
+
 @functools.lru_cache(maxsize=None)
 def colex_scan(n, size):
     masks = oracle_colex(n, size)
@@ -293,10 +313,16 @@ def colex_scan(n, size):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("lanes", [3, 7, 4096])
-def test_every_size_matches_oracle_across_chunks_and_high_halves(monkeypatch, n, lanes):
-    # 3 and 7 lanes to a block: blocks end inside high parts' groups. The
-    # whole colex order, its block loop and the report all match
+@pytest.mark.parametrize("table_bits", [0, 1 << 24])
+def test_every_size_matches_oracle_across_chunks_and_high_halves(
+    monkeypatch, n, lanes, table_bits
+):
+    # 3 and 7 lanes to a block: blocks end inside high parts' groups.
+    # table_bits = 0 keeps no table and packs it again for each group;
+    # 2^24 bits keep every table. The whole colex order, its block loop
+    # and the report all match
     monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
+    packed = keep_tables(monkeypatch, table_bits)
     inside = False
     for size in range(1, (1 << n) + 1):
         masks, expected = colex_scan(n, size)
@@ -306,6 +332,8 @@ def test_every_size_matches_oracle_across_chunks_and_high_halves(monkeypatch, n,
         starts = {first for first, _ in high_groups(masks, cube_split(n, size))}
         inside = inside or any(end not in starts for end in range(lanes, len(masks), lanes))
     assert inside or n < 4 or lanes == 4096  # a block ends inside a group
+    repacked = len(packed) > len(set(packed))
+    assert repacked == (table_bits == 0), len(packed)
 
 
 def test_tie_across_a_high_half_boundary(monkeypatch):
@@ -465,13 +493,16 @@ def test_n5_slices_hold_the_stated_shares():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("lanes", [1, 7, 4096])
-def test_slice_matches_the_colex_oracle(monkeypatch, n, lanes):
+@pytest.mark.parametrize("table_bits", [0, 40 * 16, 1 << 24])
+def test_slice_matches_the_colex_oracle(monkeypatch, n, lanes, table_bits):
     # every size, on 1-3 shards. 7 lanes to a block cut blocks inside
     # parts and across j; 1 lane splits every pool, and 4096 keeps the
-    # n <= 4 pools whole
+    # n <= 4 pools whole. table_bits = 0 keeps no table, 640 bits keep
+    # some and pack others again, 2^24 bits keep every one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
+    packed = keep_tables(monkeypatch, table_bits)
     runs = []
     scan_block = exhaustive._scan_block
 
@@ -485,8 +516,11 @@ def test_slice_matches_the_colex_oracle(monkeypatch, n, lanes):
         for shards in (1, 2, 3):
             plan = EnumerationPlan(n, size, parallel_shards=shards)
             assert report_view(n, plan) == expected, (size, shards)
+    repacked = len(packed) > len(set(packed))
+    assert repacked == (table_bits == 0) or table_bits == 40 * 16
     if n == 4 and lanes == 7:
         assert any(len(block) > 1 for block in runs)  # a block across parts
+        assert repacked == (table_bits < 1 << 24)  # 640 bits leave some to pack again
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 28, 29, 30, 31, 32])
