@@ -125,18 +125,18 @@ def _antiderivation(coords: Sequence[Scalar], omega: Multivector, removes: bool)
 
 def _antiderivation_array(coords: Sequence[float], x, odd, removes: bool):
     """``_antiderivation`` on a dense float array ``x`` indexed by basis
-    form. Its sign ``(-1)^#{i in S : i < b}`` depends, for one direction b,
-    only on the bits below b, whose parity ``odd`` holds (``odd[S]`` is the
-    parity of ``|S|``), so x is viewed as (high bits, bit b, low bits) and
-    one pass per direction moves every term. A target collects
-    its terms in the order the dict walk adds them, lowest source form
-    first (ascending b for ``i_v``, descending for ``lambda ^``), so both
-    round alike."""
+    form along its last axis. Its sign ``(-1)^#{i in S : i < b}`` depends,
+    for one direction b, only on the bits below b, whose parity ``odd``
+    holds (``odd[S]`` is the parity of ``|S|``), so x is viewed as (high
+    bits, bit b, low bits) and one pass per direction moves every term of
+    every row. A target collects its terms in the order the dict walk adds
+    them, lowest source form first (ascending b for ``i_v``, descending for
+    ``lambda ^``), so both round alike."""
     import numpy as np
 
-    n = len(x).bit_length() - 1
+    n = x.shape[-1].bit_length() - 1
     src, dst = (1, 0) if removes else (0, 1)
-    out = np.zeros(len(x))
+    out = np.zeros(x.shape)
     for b in range(n) if removes else reversed(range(n)):
         half = 1 << b
         signed = np.where(odd[:half], -coords[b], coords[b])
@@ -245,12 +245,12 @@ def apply_A(
 
 def apply_A_array(w: WeightConfig, x, odd):
     """``apply_A`` in float mode on a dense numpy array of the ``2^n``
-    coefficients indexed by basis form; returns ``A x`` the same way, equal
-    to the dict walk's result bit for bit. ``odd`` is the bool array of the
-    parities of ``|S|`` for every basis form S, built once by the caller.
-    Memory stays O(2^n)."""
-    if len(x) != 1 << w.n:
-        raise ValueError(f"coefficient array of length {len(x)} does not match n={w.n}")
+    coefficients indexed by basis form, or on a stack of such rows; returns
+    ``A x`` the same way, each row equal to the dict walk's result bit for
+    bit. ``odd`` is the bool array of the parities of ``|S|`` for every
+    basis form S, built once by the caller. Memory stays O(size of x)."""
+    if x.shape[-1] != 1 << w.n:
+        raise ValueError(f"coefficient array of length {x.shape[-1]} does not match n={w.n}")
     mode = ScalarMode.floating()
     return (_antiderivation_array(w.v_in(mode), x, odd, removes=True)
             + _antiderivation_array(w.lam_in(mode), x, odd, removes=False))

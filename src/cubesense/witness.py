@@ -32,11 +32,12 @@ Float mode works on numpy arrays indexed by vertex, one cube direction at
 a time, through ``matrices.float_entries``. It counts |O| by a popcount
 against the odd-vertex mask and refuses the solve, before it lists
 anything, when it would exceed ``FLOAT_SOLVE_MAX_BYTES``. Otherwise it
-fills the dense ``M[E', O]``, takes ``y_O`` from one Householder QR of its
-transpose, and gets ``y_E`` by one scatter-add per direction. The same
-mask, as a bool array, hands both array rules their sign parities, so
-the parity rule lives here alone. Memory stays O(2^n) beside the dense
-block.
+reads O's n entry arrays once, fills the dense ``M[E', O]`` from them,
+takes ``y_O`` from one Householder QR of its transpose, and gets ``y_E``
+by one scatter-add per direction. The same mask, as a bool array, hands
+both array rules their sign parities, so the parity rule lives here alone.
+omega stays an array up to the report; only ``positive_eigenvector_in_span``
+makes it a Multivector. Memory stays O(2^n) beside the dense block.
 
 Normalization and the certificate never touch s. Write the normalized
 eigenvector as ``omega = p + s q``, p on the max-coordinate vertex's
@@ -44,7 +45,7 @@ parity and q on the other. A swaps parity and ``s^2 = lambda(v)``, so
 ``A omega = s omega`` holds exactly when the two identities ``A q = p``
 and ``A p = lambda(v) q`` do. Both are checked through the independent
 exterior path on every call: exactly on Multivectors, or within
-tolerance on the float arrays through ``exterior.apply_A_array``, which
+tolerance on q and p stacked through ``exterior.apply_A_array``, which
 reads nothing of ``matrices``. s enters only in the returned sum.
 """
 
@@ -121,12 +122,16 @@ class WitnessReport:
         }
 
 
-def _require_large(H: InducedSubgraph) -> None:
+def _checked_mode(w: WeightConfig, H: InducedSubgraph, mode: Optional[ScalarMode]) -> ScalarMode:
+    """The solve's input checks, then the resolved mode."""
+    if w.n != H.n:
+        raise ValueError(f"dimension mismatch: weights n={w.n}, subgraph n={H.n}")
     if not H.is_large:
         raise SubgraphTooSmallError(
             f"subgraph has {H.cardinality} <= 2^{H.n - 1} vertices; "
             "the eigenspace intersection argument needs more than half"
         )
+    return resolve_mode(H.n, mode)
 
 
 def _restricted_rows(
@@ -214,9 +219,9 @@ def _float_kernel_vector(a):
     h, tau = np.linalg.qr(a.T, mode="raw")
     np.fill_diagonal(h, 1.0)
     x[-1] = 1.0
-    for j in range(len(tau) - 1, -1, -1):  # Q e_last = H_0 ... H_{r-1} e_last
-        v = h[j, j:]
-        x[j:] -= tau[j] * (v @ x[j:]) * v
+    for j, t in reversed(list(enumerate(tau.tolist()))):  # Q e_last = H_0 ... H_{r-1} e_last
+        v, tail = h[j, j:], x[j:]
+        tail -= t * (v @ tail) * v
     return x
 
 
@@ -248,12 +253,11 @@ def positive_eigenvector_in_span(
     The restricted kernel is guaranteed nonzero by dimension counting
     whenever H is large; failure to find one is a bug, not an input error.
     """
-    if w.n != H.n:
-        raise ValueError(f"dimension mismatch: weights n={w.n}, subgraph n={H.n}")
-    _require_large(H)
-    mode = resolve_mode(H.n, mode)
+    mode = _checked_mode(w, H, mode)
     if not mode.is_exact:
-        return _float_eigenvector(w, H, mode)
+        omega = _float_eigenvector(w, H, mode)
+        support = omega.nonzero()[0]
+        return Multivector(H.n, dict(zip(support.tolist(), omega[support].tolist())))
     M = build_matrix(w, mode)
     columns = list(H.vertices())
     # row beta reads M[beta, O] y_O - y_beta = 0, for every even beta
@@ -315,12 +319,13 @@ def _bool_array(mask: int, size: int):
     return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 
 
-def _float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) -> Multivector:
+def _float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode):
     """``positive_eigenvector_in_span`` in float mode, on numpy arrays
     indexed by vertex and one cube direction at a time: the block
-    ``M[E', O]`` for the QR, ``y_E = M[E, O] y_O``, the pick of beta, the
-    split into p and q and their certificate. |O| is counted and the solve
-    size checked before anything is listed."""
+    ``M[E', O]`` for the QR, ``y_E = M[E, O] y_O`` from the same entry
+    arrays, the pick of beta, the split into p and q and their certificate.
+    Returns omega as the dense array of its 2^n coordinates. |O| is counted
+    and the solve size checked before anything is listed."""
     odd_mask = _odd_mask(H.n)
     _check_float_solve_size(H, (H.members & odd_mask).bit_count())
     import numpy as np
@@ -329,6 +334,7 @@ def _float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) ->
     inside, odd_flag = _bool_array(H.members, size), _bool_array(odd_mask, size)
     along = float_entries(w, odd_flag)
     odd = np.flatnonzero(inside & odd_flag)
+    entries = [along(odd, b) for b in range(n)]
     reached = np.zeros(size, dtype=bool)
     for b in range(n):
         reached[odd ^ (1 << b)] = True
@@ -340,7 +346,7 @@ def _float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) ->
     for b in range(n):
         rows = row_of[odd ^ (1 << b)]
         hit = rows >= 0
-        block[rows[hit], np.flatnonzero(hit)] = along(odd, b)[hit]
+        block[rows[hit], np.flatnonzero(hit)] = entries[b][hit]
     y = np.zeros(size)
     y[odd] = _float_kernel_vector(block)
     # each even row adds its odd columns in ascending order, as the dict rows
@@ -349,8 +355,9 @@ def _float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) ->
     image = np.zeros(size)
     for bit_set, directions in ((0, reversed(range(n))), (1, range(n))):
         for b in directions:
-            cols = odd[(odd >> b & 1) == bit_set]
-            image[cols ^ (1 << b)] += along(cols, b) * y[cols]
+            picked = (odd >> b & 1) == bit_set
+            cols = odd[picked]
+            image[cols ^ (1 << b)] += entries[b][picked] * y[cols]
     y += np.where(inside, image, 0.0)
 
     lam = mode.convert(w.pairing)
@@ -363,9 +370,7 @@ def _float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) ->
     p = np.where(same, y / pivot, 0.0)
     q = np.where(same, 0.0, y / (pivot * lam if odd_flag[beta] else pivot))
     _certify_float_eigenpair(w, inside, odd_flag, p, q, mode)
-    omega = p + w.eigenvalue(mode) * q
-    support = np.flatnonzero(omega)
-    return Multivector(n, dict(zip(support.tolist(), omega[support].tolist())))
+    return p + w.eigenvalue(mode) * q
 
 
 def _certify_float_eigenpair(
@@ -373,15 +378,16 @@ def _certify_float_eigenpair(
 ) -> None:
     """Raise unless the vertex-indexed arrays p and q vanish outside H
     (``inside``) and ``A q = p``, ``A p = lambda(v) q`` hold within ``tol``
-    of each target's sup norm, through the exterior path's array form, which
-    reads its signs from the vertex parities ``odd_flag``."""
+    of each target's sup norm, through one call of the exterior path's
+    array form on q and p stacked, which reads its signs from the vertex
+    parities ``odd_flag``."""
     import numpy as np
 
     if np.any(((p != 0) | (q != 0)) & ~inside):
         raise InvariantViolation("eigenvector support escapes H")
     lam = mode.convert(w.pairing)
-    for x, target in ((q, p), (p, lam * q)):
-        image = apply_A_array(w, x, odd_flag)
+    images = apply_A_array(w, np.stack((q, p)), odd_flag)
+    for image, target in zip(images, (p, lam * q)):
         if not mode.within(float(np.abs(image - target).max()), float(np.abs(target).max())):
             raise NumericalRankError(
                 "float eigenvector residual exceeds tolerance; rerun in exact mode"
@@ -415,9 +421,13 @@ def extract_witness(
         raise ValueError("eigenvector support is not contained in H")
 
     beta, coord = max(items, key=lambda item: magnitude_key(item[1]))
-    if coord < 0:
-        coord = -coord  # flip omega so the witness coordinate is positive
+    return _report(w, H, mode, beta, -coord if coord < 0 else coord)
 
+
+def _report(
+    w: WeightConfig, H: InducedSubgraph, mode: ScalarMode, beta: int, coord: Scalar
+) -> WitnessReport:
+    """The report at the witness vertex beta, its coordinate made positive."""
     profile = H.degree_profile(beta)
     a, b = w.sup_lam, w.sup_v
     ratio = mode.sqrt(a / b)
@@ -443,10 +453,18 @@ def extract_witness(
 def run_pipeline(
     w: WeightConfig, H: InducedSubgraph, mode: Optional[ScalarMode] = None
 ) -> WitnessReport:
-    """Eigenvector extraction followed by witness certification."""
-    mode = resolve_mode(H.n, mode)
-    omega = positive_eigenvector_in_span(w, H, mode)
-    return extract_witness(w, H, omega, mode)
+    """``extract_witness`` on ``positive_eigenvector_in_span``, read off the
+    solve: beta is the first coordinate equal to 1 of the exact omega (+1 at
+    beta, smaller before it), or the first ``argmax(|omega|)`` of the float
+    array, the first maximum over ascending vertices as ``max`` finds it."""
+    mode = _checked_mode(w, H, mode)
+    if mode.is_exact:
+        omega = positive_eigenvector_in_span(w, H, mode)
+        beta = next(g for g, c in omega.items() if c == 1)
+        return _report(w, H, mode, beta, omega.coefficient(beta))
+    omega = abs(_float_eigenvector(w, H, mode))
+    beta = int(omega.argmax())
+    return _report(w, H, mode, beta, float(omega[beta]))
 
 
 def weighted_scan(

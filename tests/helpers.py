@@ -550,6 +550,29 @@ def oracle_float_kernel_vector(
     return [float(x) for x in vt[-1]]
 
 
+def oracle_reflector_kernel_vector(a):
+    """``witness._float_kernel_vector`` with its reflectors applied as they
+    first were: numpy-scalar ``tau[j]`` and ``x[j:]`` sliced twice per step.
+    The product it computes is the same, so the fast loop must match it
+    byte for byte."""
+    import numpy as np
+
+    num_rows, num_cols = a.shape
+    x = np.zeros(num_cols)
+    if not num_rows:
+        x[0] = 1.0
+        return x
+    if num_rows >= num_cols:
+        raise NumericalRankError("no more columns than rows; rerun in exact mode")
+    h, tau = np.linalg.qr(a.T, mode="raw")
+    np.fill_diagonal(h, 1.0)
+    x[-1] = 1.0
+    for j in range(len(tau) - 1, -1, -1):  # Q e_last = H_0 ... H_{r-1} e_last
+        v = h[j, j:]
+        x[j:] -= tau[j] * (v @ x[j:]) * v
+    return x
+
+
 def oracle_float_eigenvector(w: WeightConfig, H: InducedSubgraph, mode: ScalarMode) -> Multivector:
     """``positive_eigenvector_in_span``'s float branch on dict rows, as it
     was: ``M[E', O]`` and ``M[E, O]`` from ``oracle_even_rows``, the E' rows

@@ -7,7 +7,8 @@ Core claims:
     - ``exterior.apply_A_array`` gives the dict walk ``apply_A`` on random
       float multivectors, sparse and dense; it adds the same products in
       the same order, so the agreement is bit for bit, not only within
-      1e-15 relative
+      1e-15 relative. On a stack of rows each row is the one-row call's
+      bytes, and a width other than 2^n is refused in 1-D and 2-D
     - the float ``positive_eigenvector_in_span`` returns the dict-row
       path's omega (``helpers.oracle_float_eigenvector``) bit for bit, so
       ``extract_witness`` reports the same beta, degrees, ``certified``,
@@ -78,10 +79,22 @@ def test_apply_A_array_matches_dict_walk(n):
         w = random_weights(rng, n)
         sparse = {rng.randrange(1 << n): rng.uniform(-3.0, 3.0) for _ in range(6)}
         dense = {mask: rng.uniform(-3.0, 3.0) for mask in range(1 << n)}
+        inputs, rows = [], []
         for coeffs in (sparse, dense):
             omega = Multivector(n, coeffs)
-            fast = apply_A_array(w, as_array(omega), parities(n))
-            assert fast.tolist() == as_array(apply_A(w, omega, FLOAT)).tolist()
+            inputs.append(as_array(omega))
+            rows.append(apply_A_array(w, inputs[-1], parities(n)))
+            assert rows[-1].tolist() == as_array(apply_A(w, omega, FLOAT)).tolist()
+        # the certificate's form: both rows in one call, each the one-row call's bytes
+        stacked = apply_A_array(w, np.stack(inputs), parities(n))
+        assert stacked.shape == (2, 1 << n)
+        assert [row.tobytes() for row in stacked] == [row.tobytes() for row in rows]
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 5), (2, 16)])
+def test_apply_A_array_refuses_a_width_mismatch(shape):
+    with pytest.raises(ValueError, match="does not match n=3"):
+        apply_A_array(WeightConfig.uniform(3), np.zeros(shape), parities(3))
 
 
 # -- the pipeline against the dict-row path ---------------------------------------

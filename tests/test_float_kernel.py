@@ -4,8 +4,10 @@ oracle. The systems are drawn as sparse rows and handed over dense.
 Core claims:
     - for wide sparse systems (full rank, duplicate rows, zero rows, one
       row, one more column than rows, and the cube's own ``M[E', O]``
-      blocks) the vector has unit norm and
+      blocks for n <= 10) the vector has unit norm and
       ``||A x|| <= tol * max(1, ||A||) * ||x||``
+    - on every one of them it equals, byte for byte, the reflector loop it
+      replaced (``oracle_reflector_kernel_vector``)
     - where the kernel is one-dimensional it is the vector of
       ``oracle_float_kernel_vector`` (the SVD path it replaced) up to scale
     - no rows give the first unit vector; a system with no more columns
@@ -24,7 +26,12 @@ from cubesense import InducedSubgraph, ScalarMode, WeightConfig, build_matrix
 from cubesense.exhaustive import sample_mask
 from cubesense.witness import NumericalRankError, _float_kernel_vector
 
-from helpers import edge_subgraphs, oracle_even_rows, oracle_float_kernel_vector
+from helpers import (
+    edge_subgraphs,
+    oracle_even_rows,
+    oracle_float_kernel_vector,
+    oracle_reflector_kernel_vector,
+)
 
 FLOAT = ScalarMode.floating()
 RESIDUAL_TOL = 1e-12  # QR's backward error is a small multiple of c * 2^-52
@@ -46,6 +53,7 @@ def check_against_oracle(rows, num_cols):
     a = dense(rows, num_cols)
     x = _float_kernel_vector(a)
     assert x.shape == (num_cols,)
+    assert x.tobytes() == oracle_reflector_kernel_vector(a).tobytes()
     assert abs(np.linalg.norm(x) - 1.0) <= RESIDUAL_TOL
     norm_a = np.linalg.norm(a, 2) if rows else 0.0
     assert np.linalg.norm(a @ x) <= RESIDUAL_TOL * max(1.0, norm_a) * np.linalg.norm(x)
@@ -103,7 +111,7 @@ def test_benchmark_sized_system_against_oracle():
     assert check_against_oracle(rows, 300)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_cube_blocks_against_oracle(n):
     """The blocks the pipeline solves: ``M[E', O]`` of large subgraphs."""
     rng = random.Random(n)
