@@ -122,8 +122,7 @@ class WitnessReport:
         }
 
 
-def _checked_mode(w: WeightConfig, H: InducedSubgraph, mode: Optional[ScalarMode]) -> ScalarMode:
-    """The solve's input checks, then the resolved mode."""
+def _check_solve_inputs(w: WeightConfig, H: InducedSubgraph) -> None:
     if w.n != H.n:
         raise ValueError(f"dimension mismatch: weights n={w.n}, subgraph n={H.n}")
     if not H.is_large:
@@ -131,7 +130,6 @@ def _checked_mode(w: WeightConfig, H: InducedSubgraph, mode: Optional[ScalarMode
             f"subgraph has {H.cardinality} <= 2^{H.n - 1} vertices; "
             "the eigenspace intersection argument needs more than half"
         )
-    return resolve_mode(H.n, mode)
 
 
 def _restricted_rows(
@@ -253,7 +251,8 @@ def positive_eigenvector_in_span(
     The restricted kernel is guaranteed nonzero by dimension counting
     whenever H is large; failure to find one is a bug, not an input error.
     """
-    mode = _checked_mode(w, H, mode)
+    _check_solve_inputs(w, H)
+    mode = resolve_mode(H.n, mode)
     if not mode.is_exact:
         omega = _float_eigenvector(w, H, mode)
         support = omega.nonzero()[0]
@@ -453,15 +452,14 @@ def _report(
 def run_pipeline(
     w: WeightConfig, H: InducedSubgraph, mode: Optional[ScalarMode] = None
 ) -> WitnessReport:
-    """``extract_witness`` on ``positive_eigenvector_in_span``, read off the
-    solve: beta is the first coordinate equal to 1 of the exact omega (+1 at
-    beta, smaller before it), or the first ``argmax(|omega|)`` of the float
-    array, the first maximum over ascending vertices as ``max`` finds it."""
-    mode = _checked_mode(w, H, mode)
+    """Eigenvector extraction followed by witness certification. A float
+    report is read off the solve's array: beta is its first
+    ``argmax(|omega|)``, the first maximum over ascending vertices, as
+    ``extract_witness`` finds it."""
+    mode = resolve_mode(H.n, mode)
     if mode.is_exact:
-        omega = positive_eigenvector_in_span(w, H, mode)
-        beta = next(g for g, c in omega.items() if c == 1)
-        return _report(w, H, mode, beta, omega.coefficient(beta))
+        return extract_witness(w, H, positive_eigenvector_in_span(w, H, mode), mode)
+    _check_solve_inputs(w, H)
     omega = abs(_float_eigenvector(w, H, mode))
     beta = int(omega.argmax())
     return _report(w, H, mode, beta, float(omega[beta]))

@@ -1,8 +1,8 @@
-"""The pipeline's report read off the solve, against the public two-step path.
+"""The pipeline's report against the public two-step path.
 
-``run_pipeline`` takes beta from the solve (the first coordinate equal to 1
-of the exact omega, the first ``argmax(|omega|)`` of the float array) and
-never hands a float omega to ``extract_witness``.
+In float mode ``run_pipeline`` takes beta as the first ``argmax(|omega|)``
+of the solve's array and never hands omega to ``extract_witness``; exact
+mode runs the two-step path itself, and is checked here so it stays so.
 
 Core claims:
     - ``run_pipeline(w, H, mode)`` equals
