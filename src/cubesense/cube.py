@@ -8,6 +8,7 @@ edge gains a direction ``gamma -> beta`` when ``beta`` has the extra 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -72,7 +73,7 @@ def degree_sets(members: int, n: int, ones: int) -> list[int]:
     return at_least
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeProfile:
     """Induced degrees of one vertex, split by edge direction."""
 
@@ -82,6 +83,11 @@ class DegreeProfile:
     @property
     def degree(self) -> int:
         return self.indegree + self.outdegree
+
+
+# frozen, so one profile per (indegree, outdegree) serves every report;
+# with indegree + outdegree <= n <= MAX_DIMENSION there are at most 325
+_shared_profile = functools.cache(DegreeProfile)
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ class InducedSubgraph:
                     indeg += 1  # gamma = beta minus coordinate b+1, so gamma -> beta
                 else:
                     outdeg += 1
-        return DegreeProfile(indeg, outdeg)
+        return _shared_profile(indeg, outdeg)
 
     def max_degree(self) -> tuple[int, int]:
         """Vertex of maximum induced degree and that degree; ties take the

@@ -18,6 +18,7 @@ built only at the API edge (``x``, ``y``, ``rational_value``, ``repr``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,7 +135,10 @@ class QuadraticScalar:
     @classmethod
     def sqrt_of(cls, q: RationalLike) -> "QuadraticScalar":
         r, d = sqrt_decompose(q)
-        return cls(0, r, d)
+        # r is in lowest terms, so the triple is canonical as it stands
+        if d == 1:
+            return _reduced(r.numerator, 0, r.denominator, 1)
+        return _reduced(0, r.numerator, r.denominator, d)
 
     @property
     def is_rational(self) -> bool:
@@ -362,6 +366,15 @@ class ScalarMode:
         if self.is_exact:
             return format_exact(value)  # type: ignore[arg-type]
         return format_float(value)  # type: ignore[arg-type]
+
+
+@functools.lru_cache(maxsize=64)
+def shared_sqrt(mode: ScalarMode, q: RationalLike) -> "QuadraticScalar | float":
+    """``mode.sqrt(q)``, one object for each of the last 64 ``(mode, q)``
+    asked for. Both kinds of value are immutable, so callers may share
+    them: witness reports under equal weights hold one ``ratio`` and one
+    ``bound_lhs`` between them."""
+    return mode.sqrt(q)
 
 
 def resolve_mode(n: int, mode: ScalarMode | None) -> ScalarMode:

@@ -22,7 +22,10 @@ Both modes solve only these even rows for a parity pair ``y`` with
 ``x = y_E + s y_O``. Exact mode builds ``[M[E' u E, O] | -I_E]`` as dict
 rows keyed by vertex (an odd vertex adds its column of M, an even one its
 -1), eliminates it over Q with the weights as entries and the columns in
-vertex order, and takes the first free column's kernel vector ``y``. Up to
+vertex order, and takes the first free column's kernel vector ``y``. Each
+column pivots on the remaining row with the fewest nonzeros: the row
+chosen changes only fill-in, while the pivot columns, and with them the
+free column and ``y``, depend on the columns alone. Up to
 scale, x is then the unique kernel vector whose last nonzero column comes
 earliest: dropping implied rows keeps the kernel and the column scaling
 moves no zero, so it is the vector a direct elimination of the whole
@@ -51,15 +54,15 @@ reads nothing of ``matrices``. s enters only in the returned sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cube import DegreeProfile, InducedSubgraph, format_vertex
 from .exterior import Multivector, Scalar, WeightConfig, apply_A, apply_A_array
 from .matrices import SignedCubeMatrix, build_matrix, float_entries
-from .scalars import ScalarMode, magnitude_key, resolve_mode
+from .scalars import ScalarMode, magnitude_key, resolve_mode, shared_sqrt
 
 FLOAT_SOLVE_MAX_BYTES = 1 << 29  # three float64 copies of M[E', O] for its QR, at most 512 MiB
 
@@ -82,8 +85,21 @@ class InvariantViolation(RuntimeError):
     """A theorem-guaranteed property failed to verify: always a bug."""
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class _FieldsAsDict:
+    """A slotted dataclass's fields read as ``__dict__``, as they would be
+    without slots, so that ``type(r)(**{**r.__dict__, name: value})``
+    still copies an instance with one field changed (perfbench forges
+    reports that way). Nothing is stored: each read builds the dict."""
+
+    __slots__ = ()
+
+    @property
+    def __dict__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True, slots=True)
+class WitnessReport(_FieldsAsDict):
     """The extracted vertex, its eigenvector coordinate, and the certified
     inequality `bound_rhs >= bound_lhs` at that vertex.
 
@@ -159,36 +175,51 @@ def _first_kernel_vector(
     remaining rows is free, its coefficient is set to 1 and the pivot
     columns are back-substituted. Later columns are 0 and left out.
     Returns None when every column carries a pivot (trivial kernel).
+
+    Each column pivots on the remaining row with the fewest nonzeros, the
+    lowest row position on ties (Markowitz's rule on rows alone), found
+    through an index from each column to the remaining rows that hold it.
+    The row chosen changes only fill-in. Whichever row pivots, a column
+    gets a pivot exactly when it is independent of the columns before it,
+    so the free column is the same. The vector is then the unique kernel
+    vector that is 1 there and 0 on every later column, so every pivot
+    order returns the same dict.
     """
-    active = [dict(r) for r in rows]
-    pivots: List[Tuple[int, Dict[int, Scalar]]] = []
+    active = [{c: v for c, v in r.items() if v} for r in rows]
+    holding: Dict[int, Set[int]] = {}  # column -> the remaining rows with a nonzero there
+    for i, row in enumerate(active):
+        for c in row:
+            holding.setdefault(c, set()).add(i)
+    pivots: List[Tuple[int, Scalar, Dict[int, Scalar]]] = []
     for col in columns:
-        pivot_row: Optional[Dict[int, Scalar]] = None
-        for idx, row in enumerate(active):
-            if row.get(col):
-                pivot_row = active.pop(idx)
-                break
-        if pivot_row is None:
+        candidates = holding.pop(col, None)
+        if not candidates:
             solution: Dict[int, Scalar] = {col: Fraction(1)}
-            for pcol, prow in reversed(pivots):
+            for pcol, pivot_val, prow in reversed(pivots):
                 acc: Scalar = Fraction(0)
                 for c, val in prow.items():
-                    if c != pcol and solution.get(c):
+                    if solution.get(c):
                         acc = acc + val * solution[c]
-                solution[pcol] = -acc / prow[pcol]
+                solution[pcol] = -acc / pivot_val
             return solution
-        pivots.append((col, pivot_row))
-        pivot_val = pivot_row[col]
-        for row in active:
-            val = row.get(col)
-            if not val:
-                continue
-            factor = val / pivot_val
+        p = min(candidates, key=lambda i: (len(active[i]), i))
+        candidates.remove(p)
+        pivot_row = active[p]
+        pivot_val = pivot_row.pop(col)
+        for c in pivot_row:
+            holding[c].remove(p)
+        pivots.append((col, pivot_val, pivot_row))
+        for i in candidates:
+            row = active[i]
+            factor = row.pop(col) / pivot_val
             for c, pval in pivot_row.items():
                 updated = row.get(c, 0) - factor * pval
                 if updated == 0:
-                    row.pop(c, None)
+                    del row[c]
+                    holding[c].remove(i)
                 else:
+                    if c not in row:
+                        holding[c].add(i)
                     row[c] = updated
     return None
 
@@ -429,8 +460,8 @@ def _report(
     """The report at the witness vertex beta, its coordinate made positive."""
     profile = H.degree_profile(beta)
     a, b = w.sup_lam, w.sup_v
-    ratio = mode.sqrt(a / b)
-    bound_lhs = mode.sqrt(w.pairing / (a * b))
+    ratio = shared_sqrt(mode, a / b)
+    bound_lhs = shared_sqrt(mode, w.pairing / (a * b))
     bound_rhs = ratio * profile.indegree + profile.outdegree / ratio
     certified = (a * profile.indegree + b * profile.outdegree) ** 2 >= w.pairing
     marginal = not mode.is_exact and mode.within(bound_rhs - bound_lhs, bound_lhs)

@@ -489,6 +489,52 @@ def oracle_first_kernel_vector(
     return None
 
 
+def oracle_vertex_kernel_vector(
+    rows: List[Dict[int, Scalar]], columns: Sequence[int]
+) -> Optional[Dict[int, Scalar]]:
+    """Exact kernel vector ``{column: value}`` for the first free column,
+    the columns taken in the order given: the vertex-keyed eliminator that
+    the sparsest-row one replaced, which pivots each column on the first
+    remaining row with a nonzero there.
+
+    Forward elimination keeps the rows sparse as dicts keyed by column; a
+    column with no pivot among the remaining rows is free, its coefficient
+    is set to 1 and the pivot columns are back-substituted. Later columns
+    are 0 and left out. Returns None when every column carries a pivot.
+    """
+    active = [dict(r) for r in rows]
+    pivots: List[Tuple[int, Dict[int, Scalar]]] = []
+    for col in columns:
+        pivot_row: Optional[Dict[int, Scalar]] = None
+        for idx, row in enumerate(active):
+            if row.get(col):
+                pivot_row = active.pop(idx)
+                break
+        if pivot_row is None:
+            solution: Dict[int, Scalar] = {col: Fraction(1)}
+            for pcol, prow in reversed(pivots):
+                acc: Scalar = Fraction(0)
+                for c, val in prow.items():
+                    if c != pcol and solution.get(c):
+                        acc = acc + val * solution[c]
+                solution[pcol] = -acc / prow[pcol]
+            return solution
+        pivots.append((col, pivot_row))
+        pivot_val = pivot_row[col]
+        for row in active:
+            val = row.get(col)
+            if not val:
+                continue
+            factor = val / pivot_val
+            for c, pval in pivot_row.items():
+                updated = row.get(c, 0) - factor * pval
+                if updated == 0:
+                    row.pop(c, None)
+                else:
+                    row[c] = updated
+    return None
+
+
 def oracle_parity_rows(M: SignedCubeMatrix, columns: Sequence[int]) -> List[Dict[int, Scalar]]:
     """Exact mode's system ``[M[E' u E, O] | -I_E]`` as the position-keyed
     path built it: ``oracle_even_rows`` plus a -1 at each even column,
