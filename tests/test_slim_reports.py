@@ -43,10 +43,6 @@ H3 = InducedSubgraph(3, 0b11110111)
 H4 = InducedSubgraph.from_vertices(4, list(range(9)) + [15])
 
 
-def field_tuple(obj):
-    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
-
-
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
 def test_reports_hold_no_instance_dict_and_stay_frozen(mode):
     report = run_pipeline(WeightConfig.from_ratio(4, 2), H4, mode)
@@ -110,7 +106,7 @@ def test_report_prints_compares_and_hashes_as_before():
     }
     again = run_pipeline(WeightConfig.from_ratio(3, Fraction(1, 2)), H3)
     assert again == report and hash(again) == hash(report)
-    assert hash(report) == hash(field_tuple(report))
+    assert hash(report) == hash(tuple(getattr(report, f.name) for f in dataclasses.fields(report)))
     assert report.profile == DegreeProfile(0, 3)
     assert hash(report.profile) == hash((0, 3))
     assert dataclasses.replace(report, certified=False) != report

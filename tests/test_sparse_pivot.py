@@ -31,7 +31,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubesense import InducedSubgraph, ScalarMode, WeightConfig, build_matrix, positive_eigenvector_in_span
+from cubesense import (
+    InducedSubgraph,
+    ScalarMode,
+    WeightConfig,
+    build_matrix,
+    positive_eigenvector_in_span,
+)
 from cubesense import witness
 from cubesense.exhaustive import sample_mask
 from cubesense.witness import _first_kernel_vector, _restricted_rows
