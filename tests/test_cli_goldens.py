@@ -7,10 +7,14 @@ arithmetic and is pinned.
 
 The n = 5 exhaustive reports (every 16- and 17-subset of Q_5) take
 seconds to minutes, so CI diffs them in their own steps; here the
-committed files are checked for internal consistency.
+committed files are checked for internal consistency. The every-size
+n = 5 golden holds the text reports of k = 1..32 in turn; CI diffs all 32
+sizes, and here the sizes that take well under a second are run.
 
 To re-record after an intended report change: ``PYTHONPATH=src python
-tests/test_cli_goldens.py``.
+tests/test_cli_goldens.py``. The every-size golden is the output of
+``exhaustive --n 5 --size k --budget 601080390 --format text`` for
+k = 1..32, concatenated in order.
 """
 
 import json
@@ -59,12 +63,35 @@ GOLDENS = {
 }
 
 N5_GOLDEN = GOLDEN_DIR / "exhaustive-n5-size17.json"
+N5_EVERY_SIZE = GOLDEN_DIR / "exhaustive-n5-every-size.txt"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_cli_report_matches_golden(name, capsys):
     assert cli.main(GOLDENS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text()
+
+
+def n5_reports():
+    """The every-size golden cut into its reports, k = 1..32 in turn."""
+    return ["plan.n:" + part for part in N5_EVERY_SIZE.read_text().split("plan.n:")[1:]]
+
+
+def test_n5_every_size_golden_holds_each_size_once():
+    reports = n5_reports()
+    assert len(reports) == 32
+    for size, report in enumerate(reports, 1):
+        assert f"\nplan.subset_size: {size}\n" in report
+        assert f"\nsubsets_checked: {math.comb(32, size)}\n" in report
+
+
+# the sizes that take under 0.3 s each; k = 11..22 take seconds
+@pytest.mark.parametrize("size", [*range(1, 11), *range(23, 33)])
+def test_n5_every_size_golden(size, capsys):
+    args = ["exhaustive", "--n", "5", "--size", str(size), "--budget", "601080390"]
+    args += ["--format", "text"]
+    assert cli.main(args) == (2 if size <= 16 else 0)  # violations up to half the cube
+    assert capsys.readouterr().out == n5_reports()[size - 1]
 
 
 def test_n5_exhaustive_golden_is_consistent():
