@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import exhaustive as exhaustive_mod
 from .cube import InducedSubgraph, check_dimension, parse_subgraph
@@ -78,6 +78,15 @@ def _weights_from_flags(args: argparse.Namespace, n: int) -> WeightConfig:
     return WeightConfig.uniform(n, a, b)
 
 
+def _random_fields(text: str, what: str, field: str) -> Tuple[int, int]:
+    """The two integers of ``random:<field>:<seed>``, the random ``what``."""
+    try:
+        _, a, b = text.split(":")
+        return int(a), int(b)
+    except ValueError:
+        raise ValueError(f"random {what} must look like random:<{field}>:<seed>") from None
+
+
 def _load_subgraph(args: argparse.Namespace) -> InducedSubgraph:
     """Subgraph sources: ``random:<size>:<seed>`` (needs --n), an inline
     comma-separated vertex list (optionally ``inline:`` prefixed), or a
@@ -85,13 +94,10 @@ def _load_subgraph(args: argparse.Namespace) -> InducedSubgraph:
     source: str = args.subgraph
     n: Optional[int] = args.n
     if source.startswith("random:"):
-        parts = source.split(":")
-        if len(parts) != 3:
-            raise ValueError("random source must look like random:<size>:<seed>")
+        size, seed = _random_fields(source, "source", "size")
         if n is None:
             raise ValueError("--n is required with a random subgraph source")
         check_dimension(n)  # before drawing: a draw builds ints of up to 2^n bits
-        size, seed = int(parts[1]), int(parts[2])
         mask = exhaustive_mod.sample_mask(random.Random(seed), 1 << n, size)
         return InducedSubgraph(n, mask)
     if source.startswith("inline:") or "," in source:
@@ -199,10 +205,7 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     if args.strategy == "exhaustive":
         strategy: exhaustive_mod.Strategy = exhaustive_mod.Exhaustive()
     elif args.strategy.startswith("random:"):
-        parts = args.strategy.split(":")
-        if len(parts) != 3:
-            raise ValueError("random strategy must look like random:<count>:<seed>")
-        strategy = exhaustive_mod.RandomSample(int(parts[1]), int(parts[2]))
+        strategy = exhaustive_mod.RandomSample(*_random_fields(args.strategy, "strategy", "count"))
     else:
         raise ValueError(f"unknown strategy {args.strategy!r}")
     plan = exhaustive_mod.EnumerationPlan(

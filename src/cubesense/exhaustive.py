@@ -27,16 +27,17 @@ minimum, is not kept by the automorphisms: a colex prefix scan from rank
 0 finds it (``_first_argmin``).
 
 Both enumerate "the r-subsets of a vertex pool, in colex order" with one
-packed enumerator, ``_pool_bytes``. Colex order is numeric order, so a
-pool's subsets fall into one contiguous rank interval per subset h of
-its high part, h ascending, and within it the low parts are every
-(r - |h|)-subset of the pool's low part in colex order. Those are packed
-once per (pool, r - |h|) in ``_pool_table`` and kept, and each group is
-built from them as ``table | ones * h``: one big-int OR per group, not
-one step per subset. The low part is as large as keeps each of its
-tables within one block (``_split``), so a small pool is all low part,
-one table. A seeded sample replays its draws from the plan's seed
-(``_plan_masks``) and packs them with ``_pack``.
+packed enumerator, ``_pool_bytes``. Colex order is numeric order, so by
+Pascal's rule a pool's r-subsets are those without its top vertex, in
+colex order, then the (r - 1)-subsets of the rest, each with the top
+vertex added. ``_pool_bytes`` follows these two branches depth first,
+carrying the vertices taken so far as ``base``, until a branch's subsets
+fit one block. Such a leaf is one table of the r-subsets of the pool's
+lowest vertices, packed once per (pool, r) in ``_pool_table`` and kept,
+ORed with ``base`` in every lane: one big-int operation per leaf, not
+one step per subset. A rank interval only picks branches, so a shard
+starts anywhere without unranking. A seeded sample replays its draws
+from the plan's seed (``_plan_masks``) and packs them with ``_pack``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import struct
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .cube import InducedSubgraph, check_dimension, degree_sets, iter_bits, lane_ones, lane_width
@@ -148,20 +149,6 @@ class EnumerationPlan:
             "strategy": strategy,
             "budget": self.budget,
         }
-
-
-def _colex_from(mask: int, pool: int) -> Iterator[int]:
-    """Gosper's hack (HAKMEM item 175) over the vertex set ``pool``, a
-    bitmask: mask, a subset of pool, then each next subset of pool of the
-    same size, ascending. The carry runs through the vertices outside pool,
-    and the run it clears, less one vertex, refills pool's lowest ones."""
-    lowest = [0]
-    for v in islice(iter_bits(pool), mask.bit_count()):
-        lowest.append(lowest[-1] | 1 << v)
-    while True:
-        yield mask
-        ripple = ((mask | ~pool) + (mask & -mask)) & pool
-        mask = ripple | lowest[len(lowest) - 1 - ripple.bit_count()]
 
 
 def unrank_combination(rank: int, k: int) -> int:
@@ -275,57 +262,16 @@ def _plan_masks(plan: EnumerationPlan, start: int) -> Iterator[int]:
     return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan - start))
 
 
-def _colex_rank(mask: int) -> int:
-    """The inverse of ``unrank_combination``: ``sum C(c_i, i)`` over the
-    set bits ``c_1 < c_2 < ...`` of mask."""
-    return sum(math.comb(b, i) for i, b in enumerate(iter_bits(mask), 1))
-
-
 @functools.cache
 def _pool_table(n: int, pool: int, r: int) -> Tuple[int, int, int]:
     """Every r-subset of the vertex set ``pool`` in colex order, packed and
     kept for the life of the process: ``(table, ones, size)``, where
     ``ones`` has a 1 at the bottom of each of the table's lanes and
-    ``size`` is their length in bytes. ``_split`` keeps each table within
-    one block."""
-    first = sum(1 << v for v in islice(iter_bits(pool), r))
-    masks = list(islice(_colex_from(first, pool), math.comb(pool.bit_count(), r)))
+    ``size`` is their length in bytes. ``_pool_bytes`` asks only for
+    tables that fit one block."""
+    masks = sorted(sum(1 << v for v in c) for c in combinations(iter_bits(pool), r))
     data = _pack(masks, n)
     return int.from_bytes(data, "little"), lane_ones(n, len(masks)), len(data)
-
-
-def _high_halves(low: int, high: int, k: int, first: int) -> Iterator[int]:
-    """The ``high``-bit masks h from ``first`` on, ascending, that leave 0
-    to ``low`` of the k bits to the low part: those with ``lo`` to ``hi``
-    bits. After h, h + 1 has at most one bit too many; clearing its lowest
-    set bit and carrying its lowest run of ones one place up then gives
-    the next mask with at most ``hi`` bits. One with too few bits gets
-    its lowest clear bits set."""
-    lo, hi, end = max(0, k - low), min(k, high), 1 << high
-    h = first
-    while h < end:
-        yield h
-        h += 1
-        if h.bit_count() > hi:
-            h &= h - 1
-            h += h & -h
-        for _ in range(lo - h.bit_count()):
-            h |= h + 1
-
-
-@functools.cache
-def _split(pool: int, r: int, lanes: int) -> Tuple[int, int, Tuple[int, ...]]:
-    """How ``_pool_bytes`` enumerates pool's r-subsets: ``(split, low,
-    high)``, low being pool's ``split`` lowest vertices as a vertex set and
-    high the rest, ascending. Low is as large as it can be while each of
-    its tables, the c-subsets of low for every c the rest leaves, fits one
-    block of ``lanes``: a small pool is all low, one table."""
-    vertices = tuple(iter_bits(pool))
-    split = len(vertices)
-    # the largest table: c nearest split / 2 with r - c <= len(vertices) - split
-    while math.comb(split, min(max(split // 2, r - len(vertices) + split), r)) > lanes:
-        split -= 1
-    return split, sum(1 << v for v in vertices[:split]), vertices[split:]
 
 
 def _pool_bytes(
@@ -334,31 +280,30 @@ def _pool_bytes(
     """The r-subsets of the vertex set ``pool`` of colex ranks start..stop-1,
     each ORed with ``base``, as the bytes of their lanes in turn.
 
-    Colex order over pool's vertices is the numeric order of the subsets'
-    masks. Each subset h of pool's high part (``_split``), ascending, gives
-    one contiguous run of ranks, whose low parts are every (r - |h|)-subset
-    of the low part in colex order. That table is ORed with h's vertices
-    in every lane: one big-int operation per group, not one step per
-    subset.
+    If they fit one block, they are a slice of pool's kept table ORed with
+    base in every lane: one big-int operation. Otherwise, by Pascal's rule,
+    the first C(|pool| - 1, r) ranks are the r-subsets of pool without its
+    top vertex, and the rest the (r - 1)-subsets of the same vertices with
+    the top one added. Each branch gets the part of start..stop-1 in it.
+    Branches wait on a stack, not in nested calls: a pool can be nearly as
+    many levels deep as it has vertices, 2^n, past Python's recursion limit.
     """
-    if start >= stop:
-        return
-    step = lane_width(n) // 8
-    split, low, high = _split(pool, r, _lanes(n))
-    first, drop = (1 << r) - 1, 0  # rank 0
-    if start:
-        first = unrank_combination(start, r)
-        # the bytes of the first group before start, dropped
-        drop = _colex_rank(first & ((1 << split) - 1)) * step
-    remaining = (stop - start) * step
-    for h in _high_halves(split, len(high), r, first >> split):
-        table, ones, size = _pool_table(n, low, r - h.bit_count())
-        spread = base | sum(1 << high[i] for i in iter_bits(h))
-        data = (table | ones * spread).to_bytes(size, "little")[drop : drop + remaining]
-        drop, remaining = 0, remaining - len(data)
-        yield data
-        if not remaining:
-            return
+    lanes, step = _lanes(n), lane_width(n) // 8
+    branches = [(pool, r, start, stop, base)]
+    while branches:
+        pool, r, start, stop, base = branches.pop()
+        if start >= stop:
+            continue
+        if math.comb(pool.bit_count(), r) <= lanes:
+            if r in (0, pool.bit_count()):  # one subset: every such leaf shares one table
+                pool, r, base = 0, 0, base | (pool if r else 0)
+            table, ones, size = _pool_table(n, pool, r)
+            yield (table | ones * base).to_bytes(size, "little")[start * step : stop * step]
+            continue
+        top = 1 << (pool.bit_length() - 1)
+        rest, without = pool ^ top, math.comb(pool.bit_count() - 1, r)
+        branches.append((rest, r - 1, max(start - without, 0), stop - without, base | top))
+        branches.append((rest, r, start, min(stop, without), base))  # popped first
 
 
 def _blocks(

@@ -23,7 +23,6 @@ from cubesense import (
     apply_A,
     build_matrix,
 )
-from cubesense.exhaustive import _colex_from
 from cubesense.exterior import Scalar, _accumulate
 from cubesense.scalars import RationalLike, format_rational, sqrt_decompose
 from cubesense.witness import (
@@ -326,10 +325,24 @@ def oracle_colex(n: int, size: int) -> List[int]:
     return sorted(sum(1 << u for u in subset) for subset in combinations(range(1 << n), size))
 
 
+def colex_from(mask: int, pool: int) -> Iterator[int]:
+    """Gosper's hack (HAKMEM item 175) over the vertex set ``pool``, a
+    bitmask: mask, a subset of pool, then each next subset of pool of the
+    same size, ascending. The carry runs through the vertices outside pool,
+    and the run it clears, less one vertex, refills pool's lowest ones."""
+    lowest = [0]
+    for v in islice(oracle_iter_bits(pool), mask.bit_count()):
+        lowest.append(lowest[-1] | 1 << v)
+    while True:
+        yield mask
+        ripple = ((mask | ~pool) + (mask & -mask)) & pool
+        mask = ripple | lowest[len(lowest) - 1 - ripple.bit_count()]
+
+
 def next_combination(mask: int) -> int:
-    """The next bitmask with the same popcount, ascending: one step of the
-    scan's Gosper iteration."""
-    return next(islice(_colex_from(mask, (2 << mask.bit_length()) - 1), 1, None))
+    """The next bitmask with the same popcount, ascending: one step of
+    Gosper's iteration."""
+    return next(islice(colex_from(mask, (2 << mask.bit_length()) - 1), 1, None))
 
 
 def rank_combination(mask: int) -> int:

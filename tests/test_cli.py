@@ -265,6 +265,22 @@ def test_usage_errors_exit_one():
     run_cli("witness", "--subgraph", "00,01,11", "--mode", "float", "--tol", "inf", expect=1)
 
 
+@pytest.mark.parametrize("text", ["random:9", "random:9:0:1", "random:x:0", "random:9:1/2"])
+@pytest.mark.parametrize(
+    "args,form",
+    [
+        (["witness", "--n", "4", "--subgraph"], "source must look like random:<size>:<seed>"),
+        (["exhaustive", "--n", "4", "--strategy"], "strategy must look like random:<count>:<seed>"),
+    ],
+)
+def test_malformed_random_sources_exit_one(args, form, text, capsys):
+    # a missing field, an extra field or a non-integer: exit 1, naming the form
+    import cubesense.cli as cli
+
+    assert cli.main([*args, text]) == 1
+    assert form in capsys.readouterr().err
+
+
 def test_uncertified_witness_exits_two(monkeypatch, capsys):
     # the theorem makes an uncertified report unreachable through honest
     # inputs; force one to pin the exit-code mapping

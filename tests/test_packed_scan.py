@@ -9,13 +9,16 @@ Core claims:
       violations, minimum and argmin (the smallest rank) for exhaustive and
       random plans, below and above half the cube
     - block and shard boundaries change nothing, ties across them included
-    - the full cube's colex order, packed from its low-part tables one
-      high part at a time, gives every size at n <= 4 exactly, from
-      starts and to stops inside one high part, with blocks ending
-      inside high parts and tables kept or packed again; each low table
-      fits one block
-    - the smallest rank wins a tie across a high-part boundary, in the
-      block loop from any start and in the colex prefix scan
+    - the full cube's colex order, packed one leaf table at a time by
+      Pascal's rule, gives every size at n <= 4 exactly, one piece per
+      leaf, from starts and to stops inside one leaf or in different
+      leaves, with blocks ending inside leaves and tables kept or packed
+      again; every table asked for holds the r-subsets of the pool's
+      lowest vertices and fits one block, at n <= 6; the 1024 vertices
+      of n = 10 need no nested calls, and their one-subset leaves share
+      one table
+    - the smallest rank wins a tie across a leaf boundary, in the block
+      loop from any start and in the colex prefix scan
     - an exhaustive plan's report, weighed up from the smaller symmetry
       slice with its argmin from the colex prefix scan, equals the colex
       oracle's for every size at n <= 4 and the smallest and largest
@@ -24,6 +27,9 @@ Core claims:
     - the seeded draw equals the plain Floyd loop, and each shard streams
       its subsets from the plan from any start rank, building no mask for
       the draws before its start
+
+In test names a "high half" is a leaf and "split" the branching into
+leaves: the words of the low/high split these tests first covered.
 """
 
 import concurrent.futures
@@ -45,10 +51,16 @@ from cubesense import (
     enumerate_and_verify,
 )
 from cubesense import exhaustive
-from cubesense.cube import degree_sets, lane_ones, lane_width
-from cubesense.exhaustive import max_induced_degree, random_masks, sample_mask
+from cubesense.cube import degree_sets, iter_bits, lane_ones, lane_width
+from cubesense.exhaustive import (
+    max_induced_degree,
+    random_masks,
+    sample_mask,
+    unrank_combination,
+)
 
 from helpers import (
+    colex_from,
     oracle_colex,
     oracle_max_degree,
     oracle_random_masks,
@@ -224,8 +236,8 @@ def unpacked(n, blocks):
 def test_plan_masks_from_any_start():
     # a shard starting at rank r scans exactly the stream's tail from r:
     # the seeded draws replayed by _plan_masks, the exhaustive subsets
-    # packed from the low-half tables (in blocks of 3 lanes, which end
-    # inside high halves' groups)
+    # packed from the leaf tables (in blocks of 3 lanes, which end inside
+    # leaves)
     plans = [
         EnumerationPlan(3, 4),
         EnumerationPlan(4, 9, RandomSample(50, 3)),
@@ -250,16 +262,19 @@ def test_plan_masks_from_any_start():
             assert random_masks(plan) == stream
 
 
-def high_groups(masks, split):
-    """The rank intervals [first, stop) of equal high parts, the vertices
-    from ``split`` on, in a colex list."""
-    cuts = [0] + [r for r in range(1, len(masks)) if masks[r] >> split != masks[r - 1] >> split]
-    return list(zip(cuts, cuts[1:] + [len(masks)]))
+def leaf_lengths(p, r, lanes):
+    """The lengths of the leaves of a pool of p vertices' r-subsets, in
+    rank order: Pascal's rule, without the top vertex and then with it,
+    until a branch's subsets fit one block of ``lanes``."""
+    if math.comb(p, r) <= lanes:
+        return [math.comb(p, r)]
+    return leaf_lengths(p - 1, r, lanes) + leaf_lengths(p - 1, r - 1, lanes)
 
 
-def cube_split(n, size):
-    """Where ``_pool_bytes`` splits the full cube's vertices for size-subsets."""
-    return exhaustive._split(exhaustive._cube(n), size, exhaustive._lanes(n))[0]
+def cube_leaves(n, size, lanes):
+    """The rank intervals [first, stop) of the full cube's leaves."""
+    cuts = [0, *itertools.accumulate(leaf_lengths(1 << n, size, lanes))]
+    return list(zip(cuts, cuts[1:]))
 
 
 def cube_blocks(n, size, start, stop, lanes):
@@ -288,8 +303,8 @@ def shard_view(n, result):
 
 def keep_tables(monkeypatch, table_bits):
     """Keeps ``_pool_table``'s tables only up to ``table_bits`` bits in all:
-    past that, a table is packed again for each high part's group that
-    asks for it. Returns the ``(n, pool, r)`` of every table packed."""
+    past that, a table is packed again for each leaf that asks for it.
+    Returns the ``(n, pool, r)`` of every table packed."""
     build, kept, packed = exhaustive._pool_table.__wrapped__, {}, []
 
     def table(n, pool, r):
@@ -312,32 +327,35 @@ def colex_scan(n, size):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("lanes", [3, 7, 4096])
+@pytest.mark.parametrize("lanes", [1, 3, 7, 4096])
 @pytest.mark.parametrize("table_bits", [0, 1 << 24])
-def test_every_size_matches_oracle_across_chunks_and_high_halves(
-    monkeypatch, n, lanes, table_bits
-):
-    # 3 and 7 lanes to a block: blocks end inside high parts' groups.
-    # table_bits = 0 keeps no table and packs it again for each group;
-    # 2^24 bits keep every table. The whole colex order, its block loop
-    # and the report all match
+def test_every_size_matches_oracle_across_chunks_and_high_halves(monkeypatch, n, lanes, table_bits):
+    # 1 lane to a block makes every subset its own leaf; 3 and 7 lanes, and
+    # 4096 at n = 4, end blocks inside leaves. table_bits = 0 keeps no
+    # table and packs it again for each leaf; 2^24 bits keep every table.
+    # The whole colex order, one piece per leaf, its block loop and the
+    # report all match
     monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
     packed = keep_tables(monkeypatch, table_bits)
+    step = lane_width(n) // 8
     inside = False
     for size in range(1, (1 << n) + 1):
         masks, expected = colex_scan(n, size)
+        pieces = exhaustive._pool_bytes(n, exhaustive._cube(n), size, 0, len(masks))
+        lengths = [len(data) // step for data in pieces]
+        assert lengths == leaf_lengths(1 << n, size, lanes), size
         assert unpacked(n, cube_blocks(n, size, 0, len(masks), lanes)) == masks, size
         assert shard_view(n, cube_scan(n, size, 0, len(masks))) == expected, size
         assert report_view(n, EnumerationPlan(n, size)) == expected, size
-        starts = {first for first, _ in high_groups(masks, cube_split(n, size))}
+        starts = {first for first, _ in cube_leaves(n, size, lanes)}
         inside = inside or any(end not in starts for end in range(lanes, len(masks), lanes))
-    assert inside or n < 4 or lanes == 4096  # a block ends inside a group
+    assert inside or n < 4 or lanes == 1  # a block ends inside a leaf
     repacked = len(packed) > len(set(packed))
     assert repacked == (table_bits == 0), len(packed)
 
 
 def test_tie_across_a_high_half_boundary(monkeypatch):
-    # consecutive subsets of the minimum max degree in adjacent high parts:
+    # consecutive subsets of the minimum max degree in adjacent leaves:
     # whatever the blocks, the earlier one is the argmin, in the block loop
     # from either start and in the colex prefix scan
     n, size = 4, 9
@@ -345,14 +363,16 @@ def test_tie_across_a_high_half_boundary(monkeypatch):
     least = expected["min_max_degree"]
     degree = [oracle_max_degree(n, [u for u in range(1 << n) if m >> u & 1]) for m in masks]
     tied = [r for r, d in enumerate(degree) if d == least]
-    for lanes in (1, 2, 7, 64):
+    for lanes in (1, 3, 7, 4096):
         monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
-        split = cube_split(n, size)
-        pairs = [(i, j) for i, j in zip(tied, tied[1:]) if masks[i] >> split != masks[j] >> split]
-        assert pairs[0][0] == tied[0], lanes  # the argmin itself ties across a boundary
+        starts = [first for first, _ in cube_leaves(n, size, lanes)]
+        pairs = [(i, j) for i, j in zip(tied, tied[1:]) if any(i < s <= j for s in starts)]
+        assert pairs, lanes
+        if lanes < 4096:
+            assert pairs[0][0] == tied[0], lanes  # the argmin itself ties across a boundary
         assert exhaustive._first_argmin(EnumerationPlan(n, size), least) == masks[tied[0]]
         for i, j in pairs[:4]:
-            boundary = next(first for first, _ in high_groups(masks, split) if i < first <= j)
+            boundary = next(s for s in starts if i < s <= j)
             # the first block ends one past i, at the boundary, at j or past j
             for first_block in (1, boundary - i, j - i, j + 1 - i):
                 result = cube_scan(n, size, i, j + 1, (first_block,))
@@ -361,67 +381,88 @@ def test_tie_across_a_high_half_boundary(monkeypatch):
                 assert result.best == (least, j, masks[j]), (i, j, lanes, first_block)
 
 
-@pytest.mark.parametrize("half", [1, 2, 4, 8])
-def test_high_halves_are_exactly_those_with_room(half):
-    # every high part leaving 0..half of the k vertices to a low part of
-    # half vertices, ascending from any of them, and no other; the high
-    # part has as many vertices, or more (a pool split off centre)
-    for high in (half, half + 1, 2 * half + 1):
-        for k in range(1, half + high + 1):
-            fits = [h for h in range(1 << high) if 0 <= k - h.bit_count() <= half]
-            for i in range(0, len(fits), max(1, len(fits) // 7)):
-                got = list(exhaustive._high_halves(half, high, k, fits[i]))
-                assert got == fits[i:], (high, k, fits[i])
-
-
-def table_sizes(split, others, r):
-    """The sizes of the c-subset tables of a low part of split vertices,
-    for every c that a high part of ``others`` vertices leaves of r."""
-    return [math.comb(split, c) for c in range(max(0, r - others), min(r, split) + 1)]
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_split_sizes_each_table_to_one_block(n):
-    # low is the pool's lowest vertices, as many as keep every table it
-    # needs within one block, so no packed table outgrows a block; the
-    # n = 4 slice's pool of 11 is kept whole
-    lanes, step = exhaustive._lanes(n), lane_width(n) // 8
+def test_split_sizes_each_table_to_one_block(monkeypatch, n):
+    # for the full cube and the slice's pool, at every r, from a start at
+    # either end and one inside: every table _pool_bytes asks for holds the
+    # r'-subsets of the pool's lowest vertices (of none, for a leaf of one
+    # subset) and fits one block, one piece comes per table, and the pieces
+    # are the pool's subsets in colex order. At 4096 lanes the n = 4
+    # slice's pool of 11 is one table for each r with more than one subset
+    table, asked = exhaustive._pool_table, []
+    monkeypatch.setattr(exhaustive, "_pool_table", lambda *args: asked.append(args) or table(*args))
+    width, step = lane_width(n), lane_width(n) // 8
     rest = exhaustive._cube(n) ^ 1 ^ sum(1 << (1 << i) for i in range(n))
-    for pool in (exhaustive._cube(n), rest):
-        size = pool.bit_count()
-        for r in range(size + 1):
-            split, low, high = exhaustive._split(pool, r, lanes)
-            assert low.bit_count() == split and low | sum(1 << v for v in high) == pool
-            assert low < 1 << min(high, default=1 << n)
-            assert max(table_sizes(split, size - split, r)) <= lanes, (r, split)
-            for c in range(max(0, r - (size - split)), min(r, split) + 1):
-                _, ones, nbytes = exhaustive._pool_table(n, low, c)
-                assert ones == lane_ones(n, math.comb(split, c))
-                assert nbytes == math.comb(split, c) * step <= lanes * step, (r, c)
-            if split < size:
-                assert max(table_sizes(split + 1, size - split - 1, r)) > lanes, (r, split)
-            if n == 4 and pool == rest:
-                assert split == size == 11
+    for lanes in (1, 3, 7, 4096):
+        monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * width)
+        for pool in (exhaustive._cube(n), rest):
+            vertices = list(iter_bits(pool))
+            size = len(vertices)
+            for r in range(size + 1):
+                total, span = math.comb(size, r), 2 * lanes + 5
+                for start in sorted({0, total // 3, max(0, total - span)}):
+                    stop = min(total, start + span)
+                    asked.clear()
+                    pieces = list(exhaustive._pool_bytes(n, pool, r, start, stop))
+                    assert len(pieces) == len(asked), (lanes, r, start)
+                    for _, low, c in asked:
+                        length = math.comb(low.bit_count(), c)
+                        assert length <= lanes and low == pool & ((1 << low.bit_length()) - 1)
+                        _, ones, nbytes = table(n, low, c)
+                        assert (ones, nbytes) == (lane_ones(n, length), length * step)
+                    first = sum(1 << vertices[i] for i in iter_bits(unrank_combination(start, r)))
+                    expected = list(itertools.islice(colex_from(first, pool), stop - start))
+                    data = b"".join(pieces)
+                    got = unpacked(n, [(int.from_bytes(data, "little"), len(data) // step, None)])
+                    assert got == expected, (lanes, r, start)
+                if n == 4 and pool == rest and lanes == 4096 and 0 < r < size:
+                    assert len(asked) == 1 and asked[0][1] == rest
+
+
+@pytest.mark.parametrize("r", [1, 2, 1022, 1023])
+def test_a_deep_pool_needs_no_deep_calls(monkeypatch, r):
+    # n = 10 has 64 lanes to a block, so the cube's 1024 vertices take about
+    # a thousand levels of branches for r near 1 or 1023, past Python's
+    # recursion limit, and each level has a leaf of one subset: those share
+    # one table. 300 subsets at either end match Gosper's order
+    table, asked = exhaustive._pool_table, set()
+    monkeypatch.setattr(exhaustive, "_pool_table", lambda *args: asked.add(args) or table(*args))
+    n, pool, step = 10, exhaustive._cube(10), lane_width(10) // 8
+    total = math.comb(1024, r)
+    for start in (0, total - 300):
+        data = b"".join(exhaustive._pool_bytes(n, pool, r, start, start + 300))
+        got = unpacked(n, [(int.from_bytes(data, "little"), len(data) // step, None)])
+        assert got == list(itertools.islice(colex_from(unrank_combination(start, r), pool), 300))
+    assert (n, 0, 0) in asked and len(asked) < 30, len(asked)  # not one per leaf
 
 
 @pytest.mark.parametrize("n,size", [(3, 4), (4, 3), (4, 9), (4, 14), (5, 3)])
 def test_shard_cut_inside_a_high_half(monkeypatch, n, size):
-    # start and stop both fall inside one high part's group of the full
-    # cube's colex order: its masks in blocks of 3, and the block loop's
+    # start and stop inside one leaf of the full cube's colex order, or in
+    # different leaves: the masks in blocks of 3, and the block loop's
     # statistics with the argmin's rank, match the oracle's slice
     masks = oracle_colex(n, size)
-    for lanes in (7, 4096):  # groups of at most 7, and as long as a table of 4096
+    for lanes in (1, 3, 7, 4096):
         monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
-        groups = high_groups(masks, cube_split(n, size))
-        groups = [(first, stop) for first, stop in groups if stop - first >= 4]
-        assert groups, lanes
-        for first, stop in groups[:: max(1, len(groups) // 5)]:
-            for start, end in ((first + 1, stop - 1), (first + 1, first + 2), (first + 2, stop)):
-                assert unpacked(n, cube_blocks(n, size, start, end, 3)) == masks[start:end]
-                result = cube_scan(n, size, start, end)
-                expected = oracle_scan(n, masks[start:end])
-                assert shard_view(n, result) == expected, (first, stop, start, end)
-                assert result.best[1] == start + masks[start:end].index(result.best[2])
+        leaves = cube_leaves(n, size, lanes)
+        long = [(first, stop) for first, stop in leaves if stop - first >= 3]
+        inside = [
+            cut
+            for first, stop in long[:: max(1, len(long) // 5)]
+            for cut in ((first + 1, stop - 1), (first + 1, first + 2), (first + 2, stop))
+        ]
+        # from the middle of one leaf to the middle of one 1 to 3 leaves on
+        across = []
+        for i in range(0, len(leaves) - 1, max(1, len(leaves) // 5)):
+            (a, b), (c, d) = leaves[i], leaves[min(i + 1 + i % 3, len(leaves) - 1)]
+            across.append(((a + b) // 2, (c + d + 1) // 2))
+        assert (inside or lanes == 1) and (across or len(leaves) == 1), lanes
+        for start, end in inside + across:
+            assert unpacked(n, cube_blocks(n, size, start, end, 3)) == masks[start:end]
+            result = cube_scan(n, size, start, end)
+            expected = oracle_scan(n, masks[start:end])
+            assert shard_view(n, result) == expected, (lanes, start, end)
+            assert result.best[1] == start + masks[start:end].index(result.best[2])
 
 
 @pytest.mark.parametrize("start, stop", [(0, 7), (13, 20), (49, 50)])
