@@ -268,7 +268,8 @@ def build_parser() -> _Parser:
         default="exhaustive",
         help="'exhaustive' or 'random:<count>:<seed>'",
     )
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int, default=1, help="shard jobs for an exhaustive plan, "
+                   "at most one per CPU; a seeded sample runs in one process")
     p.add_argument("--budget", type=int, default=exhaustive_mod.DEFAULT_BUDGET)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_exhaustive)

@@ -5,16 +5,16 @@ random sample) and aggregates: the minimum over subsets of the max degree
 (with the smallest-rank subset reaching it), a histogram, and the count of
 bound violations (which must be zero).
 
-Subsets are bitmasks over the 2^n vertices, scanned in rank order. One
-job function, ``_scan_shard``, takes ``(plan, start, stop)``, so each
-shard derives its own subsets: a seeded sample's draws, or the subsets
-of an exhaustive plan's symmetry slice. Both reach one block loop,
-``_scan``, as bytes: it cuts them in blocks of up to ``BLOCK_BITS``
-bits, one lane per subset, and gets every lane's max degree from a
-single bit-sliced ``cube.degree_sets`` call, so each big-int operation
-serves the whole block. It builds a full block's lane word
-``cube.lane_ones`` once: the kernel derives its direction masks from it
-and the scan its flags.
+Subsets are bitmasks over the 2^n vertices, scanned in rank order. A
+seeded sample's draws (``_plan_masks``) are one stream, packed with
+``_pack`` in the calling process; an exhaustive plan's symmetry slice is
+cut into rank intervals, one job ``_scan_shard`` each. Both reach one
+block loop, ``_scan``, as bytes: it cuts them in blocks of up to
+``BLOCK_BITS`` bits, one lane per subset, and gets every lane's max
+degree from a single bit-sliced ``cube.degree_sets`` call, so each
+big-int operation serves the whole block. It builds a full block's lane
+word ``cube.lane_ones`` once: the kernel derives its direction masks
+from it and the scan its flags.
 
 An exhaustive plan scans one symmetry slice of the cube (``_slice``):
 the subsets ``{0, e_1..e_j} | S``, or ``{e_1..e_j} | S`` if that side is
@@ -36,8 +36,7 @@ fit one block. Such a leaf is one table of the r-subsets of the pool's
 lowest vertices, packed once per (pool, r) in ``_pool_table`` and kept,
 ORed with ``base`` in every lane: one big-int operation per leaf, not
 one step per subset. A rank interval only picks branches, so a shard
-starts anywhere without unranking. A seeded sample replays its draws
-from the plan's seed (``_plan_masks``) and packs them with ``_pack``.
+starts anywhere without unranking.
 """
 
 from __future__ import annotations
@@ -72,6 +71,14 @@ class BudgetExceededError(ValueError):
     """The plan scans more subsets than the configured budget allows."""
 
 
+def _require_ints(fields: object, *names: str) -> None:
+    """Refuses a named field that is a bool or not an int, which would fail
+    late in the scan or reach a report where its schema wants an integer."""
+    for name in names:
+        if type(getattr(fields, name)) is not int:
+            raise ValueError(f"{name} must be an integer, got {getattr(fields, name)!r}")
+
+
 @dataclass(frozen=True)
 class Exhaustive:
     """Scan every subset of the given size."""
@@ -86,10 +93,9 @@ class RandomSample:
     seed: int
 
     def __post_init__(self) -> None:
+        _require_ints(self, "count", "seed")
         if self.count < 1:
             raise ValueError("sample count must be positive")
-        if not isinstance(self.seed, int):
-            raise ValueError("random sampling requires an integer seed")
 
 
 Strategy = Union[Exhaustive, RandomSample]
@@ -104,9 +110,11 @@ class EnumerationPlan:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
+        _require_ints(self, "n", "parallel_shards", "budget")
         check_dimension(self.n)
         if self.subset_size is None:
             object.__setattr__(self, "subset_size", (1 << (self.n - 1)) + 1)
+        _require_ints(self, "subset_size")
         if not 1 <= self.subset_size <= (1 << self.n):
             raise ValueError(f"subset size must be in [1, 2^{self.n}]")
         if self.parallel_shards < 1:
@@ -167,22 +175,16 @@ def unrank_combination(rank: int, k: int) -> int:
     return mask
 
 
-def _floyd_marks(rng: random.Random, seen: bytearray, size: int) -> bytearray:
-    """Floyd's loop: sets the bytes of a uniform size-subset of seen's
-    positions. Its ``randrange`` bounds do not depend on seen's bytes."""
-    for j in range(len(seen) - size, len(seen)):
-        t = rng.randrange(j + 1)
-        seen[j if seen[t] else t] = 1
-    return seen
-
-
 def sample_mask(rng: random.Random, universe: int, size: int) -> int:
     """Floyd's sampling: a uniform size-subset of [0, universe) as a
     bitmask, from ``randrange`` alone (not random.sample) so that seeded
     runs stay stable."""
     if not 0 < size <= universe:
         raise ValueError(f"cannot sample {size} of {universe}")
-    seen = _floyd_marks(rng, bytearray(universe), size)
+    seen = bytearray(universe)
+    for j in range(universe - size, universe):
+        t = rng.randrange(j + 1)
+        seen[j if seen[t] else t] = 1
     return int(seen[::-1].translate(_BYTE_BITS), 2)
 
 
@@ -251,15 +253,10 @@ def _scan_block(
     return result
 
 
-def _plan_masks(plan: EnumerationPlan, start: int) -> Iterator[int]:
-    """A seeded sample's subsets in scan order from rank ``start``,
-    whatever the shard count. The first ``start`` draws are skipped: they
-    mark one shared buffer, which is dropped, and build no mask."""
+def _plan_masks(plan: EnumerationPlan) -> Iterator[int]:
+    """A seeded sample's subsets in scan order."""
     rng, universe, size = random.Random(plan.strategy.seed), 1 << plan.n, plan.subset_size
-    skipped = bytearray(universe)
-    for _ in range(start):
-        _floyd_marks(rng, skipped, size)
-    return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan - start))
+    return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan))
 
 
 @functools.cache
@@ -391,26 +388,19 @@ def _merged(results: Iterable[_ShardResult]) -> _ShardResult:
 
 
 def _scan_shard(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
-    """A plan's subsets of scan ranks start..stop-1: a seeded sample's
-    draws, or an exhaustive plan's slice subsets, the parts' subsets in
-    turn, each weighted by its part. Ranks within the slice mean nothing
-    past the shard: the argmin is found elsewhere."""
+    """An exhaustive plan's slice subsets of ranks start..stop-1, the
+    parts' subsets in turn, each weighted by its part. Ranks within the
+    slice mean nothing past the shard: the argmin is found elsewhere."""
     plan, start, stop = job
     n = plan.n
-    if isinstance(plan.strategy, RandomSample):
-        masks, lanes = _plan_masks(plan, start), _lanes(n)
-        chunks = (list(islice(masks, min(lanes, stop - at))) for at in range(start, stop, lanes))
-        pieces = ((_pack(chunk, n), 1) for chunk in chunks)
-    else:
-        _, parts = _slice(n, plan.subset_size)
-        rest = _cube(n) ^ 1 ^ sum(1 << (1 << i) for i in range(n))
-        pieces, at = [], 0
-        for weight, base, r, length in parts:
-            first, last = max(start - at, 0), min(stop - at, length)
-            pieces.append(zip(_pool_bytes(n, rest, r, first, last, base), repeat(weight)))
-            at += length
-        pieces = chain.from_iterable(pieces)
-    return _merged(_scan(n, pieces, start))
+    _, parts = _slice(n, plan.subset_size)
+    rest = _cube(n) ^ 1 ^ sum(1 << (1 << i) for i in range(n))
+    pieces, at = [], 0
+    for weight, base, r, length in parts:
+        first, last = max(start - at, 0), min(stop - at, length)
+        pieces.append(zip(_pool_bytes(n, rest, r, first, last, base), repeat(weight)))
+        at += length
+    return _merged(_scan(n, chain.from_iterable(pieces), start))
 
 
 def _first_argmin(plan: EnumerationPlan, least: int) -> int:
@@ -474,7 +464,7 @@ def random_masks(plan: EnumerationPlan) -> List[int]:
     """The full seeded sample for a RandomSample plan, in scan order."""
     if not isinstance(plan.strategy, RandomSample):
         raise ValueError("plan does not use random sampling")
-    return list(_plan_masks(plan, 0))
+    return list(_plan_masks(plan))
 
 
 def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
@@ -487,19 +477,24 @@ def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
     or InvariantViolation is raised. The argmin, the subset of smallest
     colex rank reaching the minimum, comes from a colex prefix scan.
 
-    Deterministic for a fixed plan regardless of parallel_shards: shard
-    boundaries are fixed rank intervals and the merge is ordered.
+    Deterministic for a fixed plan regardless of parallel_shards: a seeded
+    sample runs here as one stream, and an exhaustive plan's shards are
+    fixed rank intervals, merged in order.
     """
-    divisor, scanned = 1, plan.total_to_scan
+    n, divisor = plan.n, 1
     sample = isinstance(plan.strategy, RandomSample)
-    if not sample:
-        divisor, parts = _slice(plan.n, plan.subset_size)
+    if sample:
+        masks, lanes = _plan_masks(plan), _lanes(n)
+        chunks = iter(lambda: list(islice(masks, lanes)), [])
+        total = _merged(_scan(n, ((_pack(chunk, n), 1) for chunk in chunks), 0))
+    else:
+        divisor, parts = _slice(n, plan.subset_size)
         scanned = sum(part[3] for part in parts)
-    # more shards than CPUs would add processes that only replay draws or
-    # wait, and more than subsets only empty intervals
-    shards = min(plan.parallel_shards, os.cpu_count() or 1, scanned)
-    cuts = [scanned * i // shards for i in range(shards + 1)]
-    total = _run_shards([(plan, start, stop) for start, stop in zip(cuts, cuts[1:])])
+        # more shards than CPUs would add processes that only wait, and
+        # more than subsets only empty intervals
+        shards = min(plan.parallel_shards, os.cpu_count() or 1, scanned)
+        cuts = [scanned * i // shards for i in range(shards + 1)]
+        total = _run_shards([(plan, start, stop) for start, stop in zip(cuts, cuts[1:])])
 
     if total.best is None:
         raise InvariantViolation("scan produced no subsets")

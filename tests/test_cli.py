@@ -2,7 +2,9 @@
 
 Core claims:
     - exit 0 on success, 1 on usage/input errors, 2 on invariant failures
-    - every JSON output validates against the schemas shipped in docs/
+    - every JSON output validates against the schemas shipped in docs/, as
+      do the library's exhaustive reports of either strategy
+    - ``exhaustive --help`` says what ``--shards`` does
     - repeated invocations with fixed flags are byte-identical, including
       multi-shard exhaustive runs
     - the matrix dump and subgraph file formats round-trip
@@ -16,6 +18,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+
+from cubesense import EnumerationPlan, Exhaustive, RandomSample, enumerate_and_verify
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -203,6 +207,21 @@ def test_exhaustive_random_strategy():
     assert payload["plan"]["strategy"] == {"kind": "random", "count": 50, "seed": 11}
     assert payload["subsets_checked"] == 50
     assert payload["violations"] == 0
+
+
+@pytest.mark.parametrize(
+    "strategy", [Exhaustive(), RandomSample(50, 11)], ids=["exhaustive", "random"]
+)
+def test_exhaustive_library_reports_match_schema(strategy):
+    plan = EnumerationPlan(4, 9, strategy, parallel_shards=2)
+    payload = enumerate_and_verify(plan).to_json_dict()
+    jsonschema.validate(payload, load_schema("exhaustive_report.schema.json"))
+
+
+def test_exhaustive_help_says_what_shards_do():
+    help_text = " ".join(run_cli("exhaustive", "--help").stdout.split())
+    assert "--shards SHARDS shard jobs for an exhaustive plan, at most one per CPU; " in help_text
+    assert "a seeded sample runs in one process" in help_text
 
 
 def test_exhaustive_budget_exit():

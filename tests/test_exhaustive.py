@@ -152,17 +152,19 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch, serial_pool):
             assert enumerate_and_verify(plan).to_json_dict() == base
             plan = EnumerationPlan(n=4, strategy=sample, parallel_shards=shards)
             assert enumerate_and_verify(plan).to_json_dict() == sample_base
-            # one CPU, or an unknown count, runs the one job here: no pool
+            # one CPU, or an unknown count, runs the one job here: no pool;
+            # a seeded sample always runs here
             workers = min(shards, cpus or 1)
-            assert requested == ([workers] * 2 if workers > 1 else [])
+            assert requested == ([workers] if workers > 1 else [])
 
 
 @pytest.mark.parametrize(
     "strategy", [Exhaustive(), RandomSample(count=400, seed=0)], ids=["exhaustive", "random"]
 )
 def test_shard_jobs_capped_at_cpu_count(monkeypatch, serial_pool, strategy):
-    # a sample's shard replays every draw before its start, so a job past
-    # the CPU count only adds work: 400 shards on 2 CPUs run 2 jobs
+    # a job past the CPU count would only wait: 400 shards on 2 CPUs run an
+    # exhaustive plan's slice as 2 jobs. A seeded sample is one stream of
+    # draws, each continuing the last: it starts no pool and no job
     scan_shard, jobs = exhaustive._scan_shard, []
 
     def counted(job):
@@ -174,8 +176,11 @@ def test_shard_jobs_capped_at_cpu_count(monkeypatch, serial_pool, strategy):
     monkeypatch.setattr(exhaustive, "_scan_shard", counted)
     plan = EnumerationPlan(n=4, strategy=strategy, parallel_shards=400)
     assert enumerate_and_verify(plan).to_json_dict() == base
-    assert len(jobs) == 2 and jobs[0][0] == 0 and jobs[0][1] == jobs[1][0]
-    assert serial_pool == [2]
+    if isinstance(strategy, RandomSample):
+        assert jobs == [] and serial_pool == []
+    else:
+        assert len(jobs) == 2 and jobs[0][0] == 0 and jobs[0][1] == jobs[1][0]
+        assert serial_pool == [2]
 
 
 def test_failing_pool_counts_no_shard_twice(monkeypatch):
@@ -272,6 +277,20 @@ def test_random_strategy_validation():
         RandomSample(count=0, seed=1)
     with pytest.raises(ValueError):
         RandomSample(count=5, seed=None)
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, 9.0, "9"])
+@pytest.mark.parametrize(
+    "field", ["n", "subset_size", "parallel_shards", "budget", "count", "seed"]
+)
+def test_integer_fields_refuse_non_integers(field, value):
+    # a bool passes isinstance(value, int) and a report would echo it where
+    # its schema wants an integer; a float or str would fail late, or not at all
+    sample = {"count": 5, "seed": 0}
+    plan = {"n": 4, "subset_size": 9, "parallel_shards": 2, "budget": 10**6}
+    (sample if field in sample else plan)[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        EnumerationPlan(**plan, strategy=RandomSample(**sample))
 
 
 def test_plan_validation():

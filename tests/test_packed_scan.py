@@ -24,9 +24,8 @@ Core claims:
       oracle's for every size at n <= 4 and the smallest and largest
       sizes at n = 5, with blocks across parts and shards across j; a
       wrong weight is refused
-    - the seeded draw equals the plain Floyd loop, and each shard streams
-      its subsets from the plan from any start rank, building no mask for
-      the draws before its start
+    - the seeded draw equals the plain Floyd loop, and a seeded sample
+      draws each subset once, in one stream, whatever the shard count
 
 In test names a "high half" is a leaf and "split" the branching into
 leaves: the words of the low/high split these tests first covered.
@@ -235,31 +234,19 @@ def unpacked(n, blocks):
 
 def test_plan_masks_from_any_start():
     # a shard starting at rank r scans exactly the stream's tail from r:
-    # the seeded draws replayed by _plan_masks, the exhaustive subsets
-    # packed from the leaf tables (in blocks of 3 lanes, which end inside
-    # leaves)
-    plans = [
-        EnumerationPlan(3, 4),
-        EnumerationPlan(4, 9, RandomSample(50, 3)),
-        EnumerationPlan(2, 4, RandomSample(5, 0)),
-    ]
-    for plan in plans:
+    # the exhaustive subsets packed from the leaf tables (in blocks of 3
+    # lanes, which end inside leaves). A seeded sample is one whole stream
+    n, size = 3, 4
+    stream = plan_masks(EnumerationPlan(n, size))
+    assert len(stream) == math.comb(1 << n, size)
+    for start in sorted({0, 1, 17, len(stream) - 1, len(stream)}):
+        pieces = exhaustive._pool_bytes(n, exhaustive._cube(n), size, start, len(stream))
+        blocks = exhaustive._blocks(zip(pieces, itertools.repeat(1)), n, itertools.repeat(3))
+        assert unpacked(n, blocks) == stream[start:], start
+    for n, size, sample in ((4, 9, RandomSample(50, 3)), (2, 4, RandomSample(5, 0))):
+        plan = EnumerationPlan(n, size, sample)
         stream = plan_masks(plan)
-        assert len(stream) == plan.total_to_scan
-        for start in sorted({0, 1, 17, len(stream) - 1, len(stream)}):
-            if isinstance(plan.strategy, RandomSample):
-                tail = list(exhaustive._plan_masks(plan, start))
-            else:
-                pieces = exhaustive._pool_bytes(
-                    plan.n, exhaustive._cube(plan.n), plan.subset_size, start, len(stream)
-                )
-                blocks = exhaustive._blocks(
-                    zip(pieces, itertools.repeat(1)), plan.n, itertools.repeat(3)
-                )
-                tail = unpacked(plan.n, blocks)
-            assert tail == stream[start:], (plan, start)
-        if isinstance(plan.strategy, RandomSample):
-            assert random_masks(plan) == stream
+        assert list(exhaustive._plan_masks(plan)) == random_masks(plan) == stream
 
 
 def leaf_lengths(p, r, lanes):
@@ -465,22 +452,21 @@ def test_shard_cut_inside_a_high_half(monkeypatch, n, size):
             assert result.best[1] == start + masks[start:end].index(result.best[2])
 
 
-@pytest.mark.parametrize("start, stop", [(0, 7), (13, 20), (49, 50)])
-def test_shard_builds_only_its_own_draws(monkeypatch, start, stop):
-    # the draws before a shard's start make their randrange calls, no masks
+@pytest.mark.parametrize("shards", [1, 3, 400])
+def test_sample_draws_each_subset_once(monkeypatch, shards):
+    # a seeded sample is one stream in this process, whatever the shard
+    # count: each of its draws is made once, and none is replayed
     calls = []
 
     def counted(rng, universe, size):
         calls.append(size)
         return sample_mask(rng, universe, size)
 
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr(exhaustive, "sample_mask", counted)
-    plan = EnumerationPlan(4, 9, RandomSample(50, 3))
-    result = exhaustive._scan_shard((plan, start, stop))
-    assert len(calls) == stop - start
-    expected = oracle_scan(4, oracle_random_masks(4, 9, 50, 3)[start:stop])
-    assert dict(result.histogram) == expected["histogram"]
-    assert sum(result.histogram.values()) == stop - start
+    plan = EnumerationPlan(4, 9, RandomSample(50, 3), parallel_shards=shards)
+    assert report_view(4, plan) == oracle_scan(4, plan_masks(plan))
+    assert len(calls) == 50
 
 
 @pytest.mark.parametrize("shards", [1, 3])
