@@ -21,15 +21,17 @@ Both modes solve only these even rows for a parity pair ``y`` with
 ``y_O`` in ``ker M[E', O]`` and ``y_E = M[E, O] y_O``, so that
 ``x = y_E + s y_O``. Exact mode builds ``[M[E' u E, O] | -I_E]`` as dict
 rows keyed by vertex (an odd vertex adds its column of M, an even one its
--1), eliminates it over Q with the weights as entries and the columns in
-vertex order, and takes the first free column's kernel vector ``y``. Each
+-1), scales it by the lcm of the weights' denominators, eliminates it over
+the integers without fractions, the columns in vertex order, and takes an
+integer multiple of the first free column's kernel vector as ``y``. Each
 column pivots on the remaining row with the fewest nonzeros: the row
 chosen changes only fill-in, while the pivot columns, and with them the
-free column and ``y``, depend on the columns alone. Up to
+free column and ``y`` up to scale, depend on the columns alone. Up to
 scale, x is then the unique kernel vector whose last nonzero column comes
 earliest: dropping implied rows keeps the kernel and the column scaling
 moves no zero, so it is the vector a direct elimination of the whole
-system over Q(sqrt(d)) finds.
+system over Q(sqrt(d)) finds. Beta and the normalized p and q are read
+off the integer ``y``, so Fractions are built for p and q alone.
 
 Float mode works on numpy arrays indexed by vertex, one cube direction at
 a time, through ``matrices.float_entries``. It counts |O| by a popcount
@@ -54,6 +56,7 @@ reads nothing of ``matrices``. s enters only in the returned sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter
@@ -62,9 +65,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .cube import DegreeProfile, InducedSubgraph, format_vertex
 from .exterior import Multivector, Scalar, WeightConfig, apply_A, apply_A_array
 from .matrices import SignedCubeMatrix, build_matrix, float_entries
-from .scalars import ScalarMode, magnitude_key, resolve_mode, shared_sqrt
+from .scalars import RationalLike, ScalarMode, magnitude_key, resolve_mode, shared_sqrt
 
 FLOAT_SOLVE_MAX_BYTES = 1 << 29  # three float64 copies of M[E', O] for its QR, at most 512 MiB
+_ONE = Fraction(1)  # p_beta of every exact eigenvector, shared by their reports' omega_beta
 
 
 class SubgraphTooSmallError(ValueError):
@@ -103,7 +107,10 @@ class WitnessReport(_FieldsAsDict):
     """The extracted vertex, its eigenvector coordinate, and the certified
     inequality `bound_rhs >= bound_lhs` at that vertex.
 
-    ``certified`` is decided exactly in both modes. ``marginal`` only flags
+    A report keeps little: ``bound_rhs`` is derived from ``ratio`` and
+    ``profile`` on each read, not stored, and in exact mode ``omega_beta``
+    is one Fraction 1 shared by every report. ``certified`` is decided
+    exactly in both modes. ``marginal`` only flags
     float noise: float mode sets it when the two printed sides differ by
     no more than the tolerance, so the floats alone cannot order them.
     Exact mode always reports False, equality cases included.
@@ -116,9 +123,13 @@ class WitnessReport(_FieldsAsDict):
     omega_beta: Scalar
     profile: DegreeProfile
     bound_lhs: Scalar  # sqrt(lambda(v) / (a*b)), i.e. sqrt(n) for uniform weights
-    bound_rhs: Scalar  # C * indegree + (1/C) * outdegree
     certified: bool
     marginal: bool
+
+    @property
+    def bound_rhs(self) -> Scalar:
+        """``C * indegree + (1/C) * outdegree``, computed on each read."""
+        return _bound_rhs(self.ratio, self.profile)
 
     def to_json_dict(self) -> dict:
         fmt = self.mode.format
@@ -167,40 +178,55 @@ def _restricted_rows(
 
 
 def _first_kernel_vector(
-    rows: List[Dict[int, Scalar]], columns: Sequence[int]
-) -> Optional[Dict[int, Scalar]]:
-    """Exact kernel vector ``{column: value}`` for the first free column,
-    the columns taken in the order given. Forward elimination keeps the
-    rows sparse as dicts keyed by column; a column with no pivot among the
-    remaining rows is free, its coefficient is set to 1 and the pivot
-    columns are back-substituted. Later columns are 0 and left out.
+    rows: List[Dict[int, RationalLike]], columns: Sequence[int]
+) -> Optional[Dict[int, int]]:
+    """An integer multiple ``{column: value}`` of the exact kernel vector
+    for the first free column, the columns taken in the order given.
     Returns None when every column carries a pivot (trivial kernel).
+
+    The rows are scaled by ``den``, the lcm of their entries' denominators,
+    and eliminated over the integers as dicts keyed by column (fraction-free,
+    after Bareiss): a row holding the pivot column is replaced by
+    ``(p/g) row - (v/g) pivot_row``, with p the pivot, v its entry and
+    ``g = gcd(p, v)`` taking p's sign, then divided by its content. Each
+    row is a nonzero multiple of the one a division by p would give, so
+    the zero pattern, and with it every choice below, is the same as over
+    Q. A column with no pivot among the remaining rows is free: it gets 1,
+    and the pivot columns are back-substituted over the integers, the
+    vector being multiplied by ``|p| / gcd(acc, p)`` where a pivot p does
+    not divide its sum ``acc``. Later columns are 0 and left out.
 
     Each column pivots on the remaining row with the fewest nonzeros, the
     lowest row position on ties (Markowitz's rule on rows alone), found
     through an index from each column to the remaining rows that hold it.
     The row chosen changes only fill-in. Whichever row pivots, a column
     gets a pivot exactly when it is independent of the columns before it,
-    so the free column is the same. The vector is then the unique kernel
-    vector that is 1 there and 0 on every later column, so every pivot
-    order returns the same dict.
+    so the free column is the same. The vector is then, up to scale, the
+    unique kernel vector that is nonzero there and 0 on every later
+    column, so every pivot order returns a multiple of the same vector.
     """
-    active = [{c: v for c, v in r.items() if v} for r in rows]
+    den = math.lcm(*(v.denominator for r in rows for v in r.values()))
+    active = [{c: v.numerator * (den // v.denominator) for c, v in r.items() if v} for r in rows]
     holding: Dict[int, Set[int]] = {}  # column -> the remaining rows with a nonzero there
     for i, row in enumerate(active):
         for c in row:
             holding.setdefault(c, set()).add(i)
-    pivots: List[Tuple[int, Scalar, Dict[int, Scalar]]] = []
+    pivots: List[Tuple[int, int, Dict[int, int]]] = []
     for col in columns:
         candidates = holding.pop(col, None)
         if not candidates:
-            solution: Dict[int, Scalar] = {col: Fraction(1)}
+            solution = {col: 1}
             for pcol, pivot_val, prow in reversed(pivots):
-                acc: Scalar = Fraction(0)
+                acc = 0
                 for c, val in prow.items():
                     if solution.get(c):
-                        acc = acc + val * solution[c]
-                solution[pcol] = -acc / pivot_val
+                        acc += val * solution[c]
+                scale = abs(pivot_val) // math.gcd(acc, pivot_val)
+                if scale != 1:
+                    for c, val in solution.items():
+                        solution[c] = val * scale
+                    acc *= scale
+                solution[pcol] = -acc // pivot_val
             return solution
         p = min(candidates, key=lambda i: (len(active[i]), i))
         candidates.remove(p)
@@ -211,7 +237,13 @@ def _first_kernel_vector(
         pivots.append((col, pivot_val, pivot_row))
         for i in candidates:
             row = active[i]
-            factor = row.pop(col) / pivot_val
+            val = row.pop(col)
+            g = math.gcd(pivot_val, val)
+            g = -g if pivot_val < 0 else g
+            scale, factor = pivot_val // g, val // g
+            if scale != 1:
+                for c, rval in row.items():
+                    row[c] = rval * scale
             for c, pval in pivot_row.items():
                 updated = row.get(c, 0) - factor * pval
                 if updated == 0:
@@ -221,6 +253,10 @@ def _first_kernel_vector(
                     if c not in row:
                         holding[c].add(i)
                     row[c] = updated
+            content = math.gcd(*row.values())
+            if content > 1:
+                for c, rval in row.items():
+                    row[c] = rval // content
     return None
 
 
@@ -303,17 +339,26 @@ def positive_eigenvector_in_span(
         raise InvariantViolation(
             "no kernel vector in span(H) although |H| > 2^(n-1)"
         )
-    lam = mode.convert(w.pairing)
-    keys = ((g, y[g] * y[g] * (lam if g.bit_count() & 1 else 1)) for g in sorted(y))
+    # y is a multiple D y' of the pair y', and the keys y'^2 lambda(v) on odd,
+    # y'^2 on even vertices, times D^2 lam.denominator > 0, keep their order
+    lam = w.pairing
+    weight = (lam.denominator, lam.numerator)
+    keys = ((g, y[g] * y[g] * weight[g.bit_count() & 1]) for g in sorted(y))
     best = max(keys, key=itemgetter(1), default=None)
     if best is None or best[1] == 0:
         raise InvariantViolation("kernel vector is zero")
     beta = best[0]
     parity = beta.bit_count() & 1
     pivot = y[beta]
-    q_pivot = pivot * lam if parity else pivot
-    p = Multivector(H.n, {g: v / pivot for g, v in y.items() if g.bit_count() & 1 == parity})
-    q = Multivector(H.n, {g: v / q_pivot for g, v in y.items() if g.bit_count() & 1 != parity})
+    q_scale, q_pivot = (lam.denominator, pivot * lam.numerator) if parity else (1, pivot)
+    p_coords, q_coords = {}, {}
+    for g, v in y.items():
+        if v and g.bit_count() & 1 == parity:
+            p_coords[g] = Fraction(v, pivot)
+        elif v:
+            q_coords[g] = Fraction(v * q_scale, q_pivot)
+    p_coords[beta] = _ONE
+    p, q = Multivector(H.n, p_coords), Multivector(H.n, q_coords)
     _certify_eigenpair(w, H, p, q, mode)
     return p + q.scaled(w.eigenvalue(mode))
 
@@ -454,6 +499,10 @@ def extract_witness(
     return _report(w, H, mode, beta, -coord if coord < 0 else coord)
 
 
+def _bound_rhs(ratio: Scalar, profile: DegreeProfile) -> Scalar:
+    return ratio * profile.indegree + profile.outdegree / ratio
+
+
 def _report(
     w: WeightConfig, H: InducedSubgraph, mode: ScalarMode, beta: int, coord: Scalar
 ) -> WitnessReport:
@@ -462,9 +511,8 @@ def _report(
     a, b = w.sup_lam, w.sup_v
     ratio = shared_sqrt(mode, a / b)
     bound_lhs = shared_sqrt(mode, w.pairing / (a * b))
-    bound_rhs = ratio * profile.indegree + profile.outdegree / ratio
     certified = (a * profile.indegree + b * profile.outdegree) ** 2 >= w.pairing
-    marginal = not mode.is_exact and mode.within(bound_rhs - bound_lhs, bound_lhs)
+    marginal = not mode.is_exact and mode.within(_bound_rhs(ratio, profile) - bound_lhs, bound_lhs)
 
     return WitnessReport(
         n=H.n,
@@ -474,7 +522,6 @@ def _report(
         omega_beta=coord,
         profile=profile,
         bound_lhs=bound_lhs,
-        bound_rhs=bound_rhs,
         certified=certified,
         marginal=marginal,
     )

@@ -548,6 +548,18 @@ def oracle_vertex_kernel_vector(
     return None
 
 
+def at_free_column(y: Optional[Dict[int, int]]) -> Optional[Dict[int, Fraction]]:
+    """``witness._first_kernel_vector``'s integer vector in the form the
+    Fraction eliminators above return: divided by its value at the free
+    column, its first key, with keys and their order kept. Fails unless
+    every value it is given is an int."""
+    if y is None:
+        return None
+    assert all(type(v) is int for v in y.values()), y
+    free = y[next(iter(y))]
+    return {c: Fraction(v, free) for c, v in y.items()}
+
+
 def oracle_parity_rows(M: SignedCubeMatrix, columns: Sequence[int]) -> List[Dict[int, Scalar]]:
     """Exact mode's system ``[M[E' u E, O] | -I_E]`` as the position-keyed
     path built it: ``oracle_even_rows`` plus a -1 at each even column,
@@ -852,6 +864,13 @@ def random_weights(rng: random.Random, n: int, positive: bool = True) -> WeightC
         v = random_coords(rng, n, positive)
         if sum(a * b for a, b in zip(lam, v)) > 0:
             return WeightConfig(n, lam, v)
+
+
+def mixed_weights(rng: random.Random, n: int) -> WeightConfig:
+    """Positive weights whose coordinates are k, k/2 and k/3 in turn, k
+    prime to 6, so that their denominators differ."""
+    coords = [Fraction(rng.choice((1, 5, 7)), 1 + i % 3) for i in range(2 * n)]
+    return WeightConfig(n, coords[:n], coords[n:])
 
 
 def random_multivector(rng: random.Random, n: int, terms: int = 6) -> Multivector:

@@ -185,8 +185,12 @@ def test_shard_jobs_capped_at_cpu_count(monkeypatch, serial_pool, strategy):
 
 def test_failing_pool_counts_no_shard_twice(monkeypatch):
     # a pool that returns one shard's result and then fails: the serial
-    # rerun must start from nothing, not from the pool's partial merge
+    # rerun must start from nothing, not from the pool's partial merge.
+    # Only an exhaustive plan's slice reaches the pool, so both plans are
+    # exhaustive, each cut into 2 and 3 shard jobs
     import concurrent.futures
+
+    entered = []
 
     class FailingPool:
         def __init__(self, max_workers=None):
@@ -199,19 +203,22 @@ def test_failing_pool_counts_no_shard_twice(monkeypatch):
             return False
 
         def map(self, fn, jobs):
+            entered.append(len(jobs))
             yield fn(jobs[0])
             raise OSError("pool lost")
 
-    plans = [EnumerationPlan(n=4), EnumerationPlan(n=4, strategy=RandomSample(count=100, seed=9))]
+    plans = [EnumerationPlan(n=4), EnumerationPlan(n=4, subset_size=11)]
     serial = [enumerate_and_verify(plan).to_json_dict() for plan in plans]
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     for plan, expected in zip(plans, serial):
         for shards in (2, 3):
+            entered.clear()
             sharded = EnumerationPlan(plan.n, plan.subset_size, plan.strategy, shards)
             report = enumerate_and_verify(sharded).to_json_dict()
             assert report == expected, shards
-    assert serial[0]["subsets_checked"] == 11440
+            assert entered == [shards], (plan.subset_size, shards)
+    assert [r["subsets_checked"] for r in serial] == [11440, 4368]
 
 
 def test_shard_count_beyond_the_plan_allocates_nothing(monkeypatch, serial_pool):

@@ -9,11 +9,18 @@ Core claims:
       and Q(sqrt(d)) folds to d = 1
     - both also hold where the even-row system degenerates: the full cube,
       E' empty, and E a single vertex
-    - the parity pair ``y`` that the vertex-keyed system solves for is
-      exactly the one the position-keyed rows and dense-solution
-      eliminator it replaced find (``helpers.oracle_parity_pair``), for
+    - the parity pair ``y`` that the vertex-keyed system solves for, an
+      integer vector divided by its value at the free column, is exactly
+      the one the position-keyed rows and dense-solution Fraction
+      eliminator find (``helpers.oracle_parity_pair``), for
       n = 2..7, C in {1/2, 1, 2}, non-uniform weights and the degenerate
       subgraphs
+    - beta, p and q read off the integer pair break ties as the Fraction
+      keys did: on n = 3 and 4, C in {1, 2}, mixed denominators,
+      ``random_weights`` and n = 4 subgraphs that meet sqrt(4) = 2 with
+      equality, omega is the Q(sqrt(d)) oracle's, with ties between
+      coordinates of either sign among the cases; and any nonzero
+      integer multiple of the pair gives the same omega
     - normalization and the certificate run no Q(sqrt(d)) arithmetic: an
       exact eigenvector at n = 6 costs no division or addition there, and
       at most one multiplication (by s) per irrational coordinate
@@ -27,6 +34,7 @@ Core claims:
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, islice
 from unittest import mock
 
 import numpy as np
@@ -52,7 +60,11 @@ from cubesense.witness import _certify_eigenpair, _certify_float_eigenpair
 
 from helpers import (
     as_array,
+    at_free_column,
     edge_subgraphs,
+    max_coordinate,
+    mixed_weights,
+    oracle_max_degree,
     oracle_parity_pair,
     oracle_quadratic_eigenvector,
     random_weights,
@@ -122,7 +134,8 @@ def test_matches_direct_elimination_generated(case):
 
 def solved_parity_pair(w, H):
     """The ``y`` exact ``positive_eigenvector_in_span`` solves for, caught on
-    its way out of ``_first_kernel_vector``, its zero coordinates left out."""
+    its way out of ``_first_kernel_vector`` as an integer vector, divided by
+    its value at the free column and its zero coordinates left out."""
     solve, solved = witness._first_kernel_vector, []
 
     def caught(rows, columns):
@@ -132,7 +145,7 @@ def solved_parity_pair(w, H):
     with mock.patch.object(witness, "_first_kernel_vector", caught):
         positive_eigenvector_in_span(w, H, ScalarMode.exact())
     [y] = solved
-    return {g: v for g, v in y.items() if v}
+    return {g: v for g, v in at_free_column(y).items() if v}
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -150,6 +163,58 @@ def test_vertex_keyed_pair_matches_position_keyed(n):
 def test_vertex_keyed_pair_matches_position_keyed_generated(case):
     w, H = case
     assert solved_parity_pair(w, H) == oracle_parity_pair(w, H)
+
+
+# -- beta from the integer pair ------------------------------------------------
+
+def tie_cases():
+    """(w, H) pairs at n = 3 and 4, one random H of each large size plus the
+    full cube and ``edge_subgraphs``, under C in {1, 2}, mixed denominators
+    and ``random_weights``. Many reach their largest ``|omega|`` more than
+    once. At n = 4 also the first 12 of the 9-subsets of max degree 2: with
+    C = 1 they meet the bound sqrt(4) = 2 with equality."""
+    rng = random.Random(29)
+    cases = []
+    for n in (3, 4):
+        subgraphs = [InducedSubgraph(n, (1 << (1 << n)) - 1)] + edge_subgraphs(n)
+        subgraphs += [InducedSubgraph(n, sample_mask(rng, 1 << n, k))
+                      for k in range((1 << (n - 1)) + 1, 1 << n)]
+        if n == 4:
+            tight = (s for s in combinations(range(16), 9) if oracle_max_degree(4, s) == 2)
+            subgraphs += [InducedSubgraph.from_vertices(4, s) for s in islice(tight, 12)]
+        configs = [WeightConfig.from_ratio(n, 1), WeightConfig.from_ratio(n, 2),
+                   mixed_weights(rng, n), random_weights(rng, n)]
+        cases += [(w, H) for w in configs for H in subgraphs]
+    return cases
+
+
+def test_integer_beta_keys_break_ties_as_before():
+    tied = opposite = 0
+    for w, H in tie_cases():
+        omega = positive_eigenvector_in_span(w, H, ScalarMode.exact())
+        assert omega == oracle_quadratic_eigenvector(w, H), (H.members, w)
+        _, top = max_coordinate(omega.items())
+        tied += sum(c * c == top * top for _, c in omega.items()) > 1
+        opposite += any(c == -top for _, c in omega.items())
+    # ties are really decided, also between coordinates of opposite sign,
+    # where the first maximum fixes the sign of omega
+    assert tied >= 10 and opposite >= 3, (tied, opposite)
+
+
+@pytest.mark.parametrize("factor", [-3, 1, 7, 2**70])
+def test_any_integer_multiple_of_the_pair_gives_the_same_eigenvector(factor):
+    # nothing after the eliminator reads the pair normalized at its free column
+    solve = witness._first_kernel_vector
+
+    def scaled(rows, columns):
+        return {c: factor * v for c, v in solve(rows, columns).items()}
+
+    expected = {(H.members, w): positive_eigenvector_in_span(w, H, ScalarMode.exact())
+                for w, H in tie_cases()}
+    with mock.patch.object(witness, "_first_kernel_vector", scaled):
+        for (members, w), omega in expected.items():
+            H = InducedSubgraph(w.n, members)
+            assert positive_eigenvector_in_span(w, H, ScalarMode.exact()) == omega
 
 
 # -- no Q(sqrt(d)) arithmetic outside the final sum ----------------------------

@@ -15,6 +15,9 @@ Core claims:
     - ``to_json_dict()``, equality and hashing are unchanged: a pinned
       report prints as before, equal reports are equal and hash as the
       tuple of their fields, and one changed field makes them unequal
+    - ``bound_rhs`` is no field: it is derived from ``ratio`` and
+      ``profile`` on each read, in both modes, and exact reports share
+      one ``omega_beta`` object, the Fraction 1
     - ``scalars.shared_sqrt`` returns the value and type of an uncached
       ``mode.sqrt`` for int, Fraction and float inputs in both modes, and
       the same object when asked again
@@ -79,6 +82,20 @@ def test_equal_weights_share_ratio_and_bound(mode):
     assert first.bound_lhs is second.bound_lhs
     other = run_pipeline(WeightConfig.from_ratio(4, 2), H4, mode)
     assert other.ratio != first.ratio
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.kind)
+def test_bound_rhs_is_derived_and_the_unit_coordinate_shared(mode):
+    reports = [
+        run_pipeline(WeightConfig.from_ratio(4, ratio), H, mode)
+        for ratio in (Fraction(1, 2), 2) for H in (H4, InducedSubgraph(4, (1 << 16) - 1))
+    ]
+    for report in reports:
+        assert "bound_rhs" not in {f.name for f in dataclasses.fields(report)}
+        ratio, profile = report.ratio, report.profile
+        assert report.bound_rhs == ratio * profile.indegree + profile.outdegree / ratio
+    if mode.is_exact:
+        assert all(r.omega_beta is reports[0].omega_beta == 1 for r in reports)
 
 
 def test_equal_profiles_are_one_object():

@@ -1,22 +1,29 @@
-"""The sparsest-row exact eliminator against the first-row one it replaced.
+"""The sparsest-row integer eliminator against the first-row Fraction one.
 
-``witness._first_kernel_vector`` pivots each column on the remaining row
+``witness._first_kernel_vector`` scales its rational rows to integers,
+eliminates them fraction-free and pivots each column on the remaining row
 with the fewest nonzeros; ``helpers.oracle_vertex_kernel_vector`` is the
-eliminator it replaced, which pivots on the first remaining row. The row
-choice changes only fill-in, so both must return the same vector.
+eliminator it replaced, which pivots on the first remaining row over
+Fractions. The row choice changes only fill-in, and each integer row is a
+nonzero multiple of the Fraction row, so the integer vector divided by its
+value at the free column (``helpers.at_free_column``) must be the oracle's.
 
 Core claims:
+    - every value returned is an int
     - on the exact parity systems ``[M[E' u E, O] | -I_E]`` that
-      ``positive_eigenvector_in_span`` solves, both return the same dict:
-      the same keys in the same order, equal values of the same types.
-      Covered: seeded random H for n = 2..8 (the sizes 2^(n-1) + 1 and
-      one larger), the full cube and both ``edge_subgraphs``, with
-      C in {1/2, 1, 2} and ``random_weights``
-    - the same keys and equal values on the whole restricted system of
-      ``A - s I`` over Q(sqrt(d)), whose entries are QuadraticScalars
+      ``positive_eigenvector_in_span`` solves, the normalized vector is the
+      oracle's dict: the same keys in the same order, equal values of the
+      same types. Covered: seeded random H for n = 2..8 (the sizes
+      2^(n-1) + 1 and one larger), the full cube and both
+      ``edge_subgraphs``, with C in {1/2, 1, 2}, ``random_weights`` and
+      weights whose coordinates mix the denominators 1, 2 and 3
+    - on the same (w, H) cases for n = 2..5, the pipeline's exact omega is
+      the one a direct elimination of ``A - s I`` over Q(sqrt(d)) finds
+      (``helpers.oracle_quadratic_eigenvector``)
     - on sparse systems whose kernel has dimension above 1, with the
       columns in shuffled order, so that the first free column decides the
-      vector; the vector returned lies in the kernel
+      vector; the vector returned lies in the kernel. Their entries mix
+      the denominators 1, 2 and 3
     - a system with a trivial kernel returns None from both
     - a derandomized hypothesis case over small sparse systems, whose
       Fraction entries, mostly -1, 0 and 1, make rows cancel and fill in
@@ -31,33 +38,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubesense import (
-    InducedSubgraph,
-    ScalarMode,
-    WeightConfig,
-    build_matrix,
-    positive_eigenvector_in_span,
-)
+from cubesense import InducedSubgraph, ScalarMode, WeightConfig, positive_eigenvector_in_span
 from cubesense import witness
 from cubesense.exhaustive import sample_mask
-from cubesense.witness import _first_kernel_vector, _restricted_rows
+from cubesense.witness import _first_kernel_vector
 
-from helpers import edge_subgraphs, full_cube, oracle_vertex_kernel_vector, random_weights
+from helpers import (
+    at_free_column,
+    edge_subgraphs,
+    full_cube,
+    mixed_weights,
+    oracle_quadratic_eigenvector,
+    oracle_vertex_kernel_vector,
+    random_weights,
+)
 
 RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
-def assert_same_vector(rows, columns, same_types=True):
+def assert_same_vector(rows, columns):
     before = [dict(r) for r in rows]
-    got = _first_kernel_vector(rows, columns)
+    got = at_free_column(_first_kernel_vector(rows, columns))
     expected = oracle_vertex_kernel_vector(rows, columns)
     assert rows == before
     if expected is None:
         assert got is None
         return None
     assert list(got.items()) == list(expected.items())
-    if same_types:
-        assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+    assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
     return got
 
 
@@ -83,23 +91,23 @@ def subgraphs(n, rng):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_parity_systems_match_first_row_pivots(n):
-    rng = random.Random(260 + n)
+    rng, mixed_rng = random.Random(260 + n), random.Random(280 + n)
     for H in subgraphs(n, rng):
         configs = [WeightConfig.from_ratio(n, ratio) for ratio in RATIOS]
-        for w in configs + [random_weights(rng, n)]:
+        for w in configs + [random_weights(rng, n), mixed_weights(mixed_rng, n)]:
             assert assert_same_vector(*parity_system(w, H)) is not None, (H.members, w)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_quadratic_systems_match_first_row_pivots(n):
+    # the eliminator takes rational rows only: the Q(sqrt(d)) system of
+    # A - s I is solved by the oracle, and its eigenvector must be the
+    # pipeline's, found from the rational parity system
     rng = random.Random(270 + n)
     for H in subgraphs(n, rng):
         for w in (WeightConfig.from_ratio(n, Fraction(1, 2)), random_weights(rng, n)):
-            columns = list(H.vertices())
-            rows = _restricted_rows(build_matrix(w), w.eigenvalue(), columns)
-            # a rational value may come back as a Fraction from one and a
-            # QuadraticScalar from the other, as the pivot entry differs
-            assert assert_same_vector(rows, range(len(columns)), same_types=False) is not None
+            omega = positive_eigenvector_in_span(w, H, ScalarMode.exact())
+            assert omega == oracle_quadratic_eigenvector(w, H), (H.members, w)
 
 
 def random_system(rng, num_rows, columns, density):
