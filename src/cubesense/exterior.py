@@ -13,6 +13,7 @@ a factor at 1-based position ``p`` inside the ascending wedge costs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -222,6 +223,15 @@ class WeightConfig:
     @property
     def sup_v(self) -> Fraction:
         return max(abs(b) for b in self.v)
+
+    def scaled_to_integers(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """``(den, den * lambda, den * v)`` as ints, ``den`` the lcm of the
+        denominators of every coordinate; ``den^2 lambda(v)`` is then the
+        integer pairing of the two scaled tuples."""
+        den = math.lcm(*(x.denominator for x in self.lam + self.v))
+        lam, v = (tuple(x.numerator * (den // x.denominator) for x in xs)
+                  for xs in (self.lam, self.v))
+        return den, lam, v
 
     def lam_in(self, mode: ScalarMode) -> tuple:
         return tuple(mode.convert(a) for a in self.lam)

@@ -90,11 +90,19 @@ class SignedCubeMatrix:
             stream.write(f"{row} {col} {mode.format(value)}\n")
 
 
-def _entry_table(w: WeightConfig, mode: ScalarMode) -> tuple:
+def _entry_table(lam: tuple, v: tuple) -> tuple:
     """A's entries indexed ``[parity][bit set][b]``, as ``build_matrix``
-    describes them."""
-    lam, v = w.lam_in(mode), w.v_in(mode)
+    describes them, for the coordinates lambda and v."""
     return ((lam, v), (tuple(-x for x in lam), tuple(-x for x in v)))
+
+
+def _signed_matrix(n: int, lam: tuple, v: tuple) -> SignedCubeMatrix:
+    table = _entry_table(lam, v)
+
+    def coeff(gamma: int, b: int) -> Scalar:
+        return table[(gamma & ((1 << b) - 1)).bit_count() & 1][gamma >> b & 1][b]
+
+    return SignedCubeMatrix(n, coeff)
 
 
 def build_matrix(w: WeightConfig, mode: ScalarMode | None = None) -> SignedCubeMatrix:
@@ -107,12 +115,15 @@ def build_matrix(w: WeightConfig, mode: ScalarMode | None = None) -> SignedCubeM
     a negative entry is not negated again on every call.
     """
     mode = resolve_mode(w.n, mode)
-    table = _entry_table(w, mode)
+    return _signed_matrix(w.n, w.lam_in(mode), w.v_in(mode))
 
-    def coeff(gamma: int, b: int) -> Scalar:
-        return table[(gamma & ((1 << b) - 1)).bit_count() & 1][gamma >> b & 1][b]
 
-    return SignedCubeMatrix(w.n, coeff)
+def integer_matrix(w: WeightConfig) -> Tuple[SignedCubeMatrix, int]:
+    """``(den * M, den)``: ``build_matrix``'s entry rule read from the
+    weights scaled to ints by ``den``, the lcm of their denominators, so
+    every entry is an int."""
+    den, lam, v = w.scaled_to_integers()
+    return _signed_matrix(w.n, lam, v), den
 
 
 def float_entries(w: WeightConfig, odd) -> Callable:
@@ -126,7 +137,8 @@ def float_entries(w: WeightConfig, odd) -> Callable:
     _check_matrix_dimension(w.n)
     import numpy as np
 
-    table = np.array(_entry_table(w, ScalarMode.floating()))
+    mode = ScalarMode.floating()
+    table = np.array(_entry_table(w.lam_in(mode), w.v_in(mode)))
 
     def along(columns, b: int):
         # a bool index array would select, not index: read the parities as 0/1

@@ -19,19 +19,20 @@ vector always exists.
 
 Both modes solve only these even rows for a parity pair ``y`` with
 ``y_O`` in ``ker M[E', O]`` and ``y_E = M[E, O] y_O``, so that
-``x = y_E + s y_O``. Exact mode builds ``[M[E' u E, O] | -I_E]`` as dict
-rows keyed by vertex (an odd vertex adds its column of M, an even one its
--1), scales it by the lcm of the weights' denominators, eliminates it over
-the integers without fractions, the columns in vertex order, and takes an
-integer multiple of the first free column's kernel vector as ``y``. Each
-column pivots on the remaining row with the fewest nonzeros: the row
-chosen changes only fill-in, while the pivot columns, and with them the
-free column and ``y`` up to scale, depend on the columns alone. Up to
-scale, x is then the unique kernel vector whose last nonzero column comes
-earliest: dropping implied rows keeps the kernel and the column scaling
-moves no zero, so it is the vector a direct elimination of the whole
-system over Q(sqrt(d)) finds. Beta and the normalized p and q are read
-off the integer ``y``, so Fractions are built for p and q alone.
+``x = y_E + s y_O``. Exact mode builds ``den [M[E' u E, O] | -I_E]``, den
+the lcm of the weights' denominators, as int rows keyed by vertex (an odd
+vertex adds its column of ``matrices.integer_matrix``, an even one its
+-den), eliminates it without fractions, the columns in vertex order,
+and takes an integer multiple of the first free column's kernel vector
+as ``y``. Each column pivots on the remaining row with the fewest
+nonzeros: the row chosen changes only fill-in, while the pivot columns,
+and with them the free column and ``y`` up to scale, depend on the
+columns alone. Up to scale, x is then the unique kernel vector whose last
+nonzero column comes earliest: dropping implied rows keeps the kernel and
+the column scaling moves no zero, so it is the vector a direct
+elimination of the whole system over Q(sqrt(d)) finds. The certificate,
+beta and the normalized p and q all read the integer ``y``, so Fractions
+are built for p and q alone.
 
 Float mode works on numpy arrays indexed by vertex, one cube direction at
 a time, through ``matrices.float_entries``. It counts |O| by a popcount
@@ -44,14 +45,17 @@ both array rules their sign parities, so the parity rule lives here alone.
 omega stays an array up to the report; only ``positive_eigenvector_in_span``
 makes it a Multivector. Memory stays O(2^n) beside the dense block.
 
-Normalization and the certificate never touch s. Write the normalized
-eigenvector as ``omega = p + s q``, p on the max-coordinate vertex's
-parity and q on the other. A swaps parity and ``s^2 = lambda(v)``, so
-``A omega = s omega`` holds exactly when the two identities ``A q = p``
-and ``A p = lambda(v) q`` do. Both are checked through the independent
-exterior path on every call: exactly on Multivectors, or within
-tolerance on q and p stacked through ``exterior.apply_A_array``, which
-reads nothing of ``matrices``. s enters only in the returned sum.
+Normalization and the certificate never touch s. A swaps parity and
+``s^2 = lambda(v)``, so ``A x = s x`` holds exactly when the two
+identities ``A y_O = y_E`` and ``A y_E = lambda(v) y_O`` do. Both are
+checked on every call through the independent exterior path, which reads
+nothing of ``matrices``: in exact mode on the integer ``y``, A's weights
+scaled by den to ints; in float mode within tolerance, on p and q below
+stacked through ``exterior.apply_A_array``. The normalized eigenvector
+is ``omega = p + s q``, p on the max-coordinate vertex's parity and q on
+the other: (p, q) is (y_E, y_O), or (y_O, y_E / lambda(v)), divided by
+``y_beta``, so the identities are ``A q = p`` and ``A p = lambda(v) q``.
+s enters only in the returned sum.
 """
 
 from __future__ import annotations
@@ -63,9 +67,10 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cube import DegreeProfile, InducedSubgraph, format_vertex
-from .exterior import Multivector, Scalar, WeightConfig, apply_A, apply_A_array
-from .matrices import SignedCubeMatrix, build_matrix, float_entries
-from .scalars import RationalLike, ScalarMode, magnitude_key, resolve_mode, shared_sqrt
+from .exterior import (Multivector, Scalar, WeightConfig, apply_A_array, interior_product,
+                       wedge_lambda)
+from .matrices import SignedCubeMatrix, float_entries, integer_matrix
+from .scalars import ScalarMode, magnitude_key, resolve_mode, shared_sqrt
 
 FLOAT_SOLVE_MAX_BYTES = 1 << 29  # three float64 copies of M[E', O] for its QR, at most 512 MiB
 _ONE = Fraction(1)  # p_beta of every exact eigenvector, shared by their reports' omega_beta
@@ -178,15 +183,15 @@ def _restricted_rows(
 
 
 def _first_kernel_vector(
-    rows: List[Dict[int, RationalLike]], columns: Sequence[int]
+    rows: List[Dict[int, int]], columns: Sequence[int]
 ) -> Optional[Dict[int, int]]:
     """An integer multiple ``{column: value}`` of the exact kernel vector
-    for the first free column, the columns taken in the order given.
-    Returns None when every column carries a pivot (trivial kernel).
+    of the integer rows for the first free column, the columns taken in the
+    order given. Returns None when every column carries a pivot (trivial
+    kernel); the rows passed in are left as they were.
 
-    The rows are scaled by ``den``, the lcm of their entries' denominators,
-    and eliminated over the integers as dicts keyed by column (fraction-free,
-    after Bareiss): a row holding the pivot column is replaced by
+    The rows are eliminated as dicts keyed by column, fraction-free (after
+    Bareiss): a row holding the pivot column is replaced by
     ``(p/g) row - (v/g) pivot_row``, with p the pivot, v its entry and
     ``g = gcd(p, v)`` taking p's sign, then divided by its content. Each
     row is a nonzero multiple of the one a division by p would give, so
@@ -205,8 +210,7 @@ def _first_kernel_vector(
     unique kernel vector that is nonzero there and 0 on every later
     column, so every pivot order returns a multiple of the same vector.
     """
-    den = math.lcm(*(v.denominator for r in rows for v in r.values()))
-    active = [{c: v.numerator * (den // v.denominator) for c, v in r.items() if v} for r in rows]
+    active = [{c: v for c, v in r.items() if v} for r in rows]
     holding: Dict[int, Set[int]] = {}  # column -> the remaining rows with a nonzero there
     for i, row in enumerate(active):
         for c in row:
@@ -324,21 +328,22 @@ def positive_eigenvector_in_span(
         omega = _float_eigenvector(w, H, mode)
         support = omega.nonzero()[0]
         return Multivector(H.n, dict(zip(support.tolist(), omega[support].tolist())))
-    M = build_matrix(w, mode)
+    M, den = integer_matrix(w)
     columns = list(H.vertices())
-    # row beta reads M[beta, O] y_O - y_beta = 0, for every even beta
-    rows: Dict[int, Dict[int, Scalar]] = {}
+    # row beta reads den M[beta, O] y_O - den y_beta = 0, for every even beta
+    rows: Dict[int, Dict[int, int]] = {}
     for gamma in columns:
         if gamma.bit_count() & 1:
             for beta, val in M.column(gamma):
                 rows.setdefault(beta, {})[gamma] = val
         else:
-            rows.setdefault(gamma, {})[gamma] = -1
+            rows.setdefault(gamma, {})[gamma] = -den
     y = _first_kernel_vector([rows[b] for b in sorted(rows)], columns)
     if y is None:
         raise InvariantViolation(
             "no kernel vector in span(H) although |H| > 2^(n-1)"
         )
+    _certify_eigenpair(w, H, y)
     # y is a multiple D y' of the pair y', and the keys y'^2 lambda(v) on odd,
     # y'^2 on even vertices, times D^2 lam.denominator > 0, keep their order
     lam = w.pairing
@@ -358,22 +363,24 @@ def positive_eigenvector_in_span(
         elif v:
             q_coords[g] = Fraction(v * q_scale, q_pivot)
     p_coords[beta] = _ONE
-    p, q = Multivector(H.n, p_coords), Multivector(H.n, q_coords)
-    _certify_eigenpair(w, H, p, q, mode)
-    return p + q.scaled(w.eigenvalue(mode))
+    return Multivector(H.n, p_coords) + Multivector(H.n, q_coords).scaled(w.eigenvalue(mode))
 
 
-def _certify_eigenpair(
-    w: WeightConfig, H: InducedSubgraph, p: Multivector, q: Multivector, mode: ScalarMode
-) -> None:
-    """Raise unless p and q live on H and ``A q = p``, ``A p = lambda(v) q``
-    hold exactly through the exterior path."""
-    if any(beta not in H for beta in p.support() + q.support()):
+def _certify_eigenpair(w: WeightConfig, H: InducedSubgraph, y: Dict[int, int]) -> None:
+    """Raise unless the integer parity pair ``y`` lives on H and
+    ``A y_O = y_E``, ``A y_E = lambda(v) y_O`` hold exactly through the
+    exterior path, A's weights scaled to ints by ``den``. One application
+    checks both: A swaps parity, so ``(den A)(den y_E + y_O)`` must be
+    ``den y_E`` on even and ``den^2 lambda(v) y_O`` on odd vertices."""
+    if any(c and g not in H for g, c in y.items()):
         raise InvariantViolation("eigenvector support escapes H")
-    lam = mode.convert(w.pairing)
-    for image, target in ((apply_A(w, q, mode), p), (apply_A(w, p, mode), q.scaled(lam))):
-        if image != target:
-            raise InvariantViolation("exact eigenvector residual is nonzero")
+    den, lam, v = w.scaled_to_integers()
+    pairing = sum(a * b for a, b in zip(lam, v))  # den^2 lambda(v)
+    odd = {g for g in y if g.bit_count() & 1}
+    x = Multivector(H.n, {g: c if g in odd else den * c for g, c in y.items()})
+    target = Multivector(H.n, {g: pairing * c if g in odd else den * c for g, c in y.items()})
+    if interior_product(v, x) + wedge_lambda(lam, x) != target:
+        raise InvariantViolation("exact eigenvector residual is nonzero")
 
 
 def _odd_mask(n: int) -> int:

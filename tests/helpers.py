@@ -560,6 +560,46 @@ def at_free_column(y: Optional[Dict[int, int]]) -> Optional[Dict[int, Fraction]]
     return {c: Fraction(v, free) for c, v in y.items()}
 
 
+def integer_rows(rows: List[Dict[int, RationalLike]]) -> List[Dict[int, int]]:
+    """Rational rows as the integer rows ``witness._first_kernel_vector``
+    takes: every entry times ``den``, the lcm of all their denominators,
+    in new dicts with the keys and their order kept."""
+    den = math.lcm(*(v.denominator for r in rows for v in r.values()))
+    return [{c: v.numerator * (den // v.denominator) for c, v in r.items()} for r in rows]
+
+
+def oracle_eigenpair(w: WeightConfig, y: Dict[int, int]) -> Tuple[Multivector, Multivector]:
+    """p and q of ``omega = p + s q`` read off the integer parity pair y
+    over Fractions, as the pipeline normalizes it: beta is the first vertex
+    of largest ``|x_gamma|``, compared as ``y_gamma^2 lambda(v)`` on odd
+    and ``y_gamma^2`` on even vertices, and (p, q) is (y_E, y_O), or
+    (y_O, y_E / lambda(v)) when beta is odd, divided by ``y_beta``."""
+    lam = w.pairing
+    keys = {g: y[g] ** 2 * (lam if g.bit_count() & 1 else 1) for g in sorted(y)}
+    beta = max(keys, key=keys.__getitem__)
+    if not keys[beta]:
+        raise InvariantViolation("kernel vector is zero")
+    parity = beta.bit_count() & 1
+    p = {g: Fraction(c, y[beta]) for g, c in y.items() if g.bit_count() & 1 == parity}
+    q = {g: Fraction(c, y[beta]) / (lam if parity else 1)
+         for g, c in y.items() if g.bit_count() & 1 != parity}
+    return Multivector(w.n, p), Multivector(w.n, q)
+
+
+def oracle_certify_eigenpair(
+    w: WeightConfig, H: InducedSubgraph, p: Multivector, q: Multivector, mode: ScalarMode
+) -> None:
+    """Raise unless p and q live on H and ``A q = p``, ``A p = lambda(v) q``
+    hold exactly through ``apply_A`` on Fractions: the certificate that the
+    integer one on the parity pair replaced."""
+    if any(beta not in H for beta in p.support() + q.support()):
+        raise InvariantViolation("eigenvector support escapes H")
+    lam = mode.convert(w.pairing)
+    for image, target in ((apply_A(w, q, mode), p), (apply_A(w, p, mode), q.scaled(lam))):
+        if image != target:
+            raise InvariantViolation("exact eigenvector residual is nonzero")
+
+
 def oracle_parity_rows(M: SignedCubeMatrix, columns: Sequence[int]) -> List[Dict[int, Scalar]]:
     """Exact mode's system ``[M[E' u E, O] | -I_E]`` as the position-keyed
     path built it: ``oracle_even_rows`` plus a -1 at each even column,

@@ -26,9 +26,17 @@ Core claims:
       at most one multiplication (by s) per irrational coordinate
     - each identity of the certificate is load-bearing: pairs that break
       one of ``A q = p`` and ``A p = lambda(v) q``, or drop the lambda(v)
-      factor, are refused in both modes, on Multivectors in exact mode and
-      on vertex-indexed arrays in float mode
+      factor, are refused in both modes, as integer parity pairs with
+      ``den = 1000`` in exact mode and on vertex-indexed arrays in float
+      mode
     - a genuine eigenpair whose support leaves H is refused in both modes
+    - the integer certificate on the parity pair and the Fraction one on p
+      and q (``helpers.oracle_certify_eigenpair``) agree: both accept every
+      pair the pipeline solves for and refuse the same one-sided
+      corruptions, for n = 1..7, C in {1/2, 1, 2, 3/5}, mixed
+      denominators, a negative v coordinate and the n = 4 equality case
+    - the integer certificate checks each identity: under an A that does
+      not square to lambda(v), a pair meeting only one of them is refused
 """
 
 import random
@@ -51,7 +59,9 @@ from cubesense import (
     ScalarMode,
     WeightConfig,
     apply_A,
+    interior_product,
     positive_eigenvector_in_span,
+    wedge_lambda,
 )
 from cubesense import witness
 from cubesense.exhaustive import sample_mask
@@ -62,8 +72,11 @@ from helpers import (
     as_array,
     at_free_column,
     edge_subgraphs,
+    integer_rows,
     max_coordinate,
     mixed_weights,
+    oracle_certify_eigenpair,
+    oracle_eigenpair,
     oracle_max_degree,
     oracle_parity_pair,
     oracle_quadratic_eigenvector,
@@ -132,10 +145,9 @@ def test_matches_direct_elimination_generated(case):
 
 # -- the vertex-keyed system against the position-keyed one ----------------------
 
-def solved_parity_pair(w, H):
-    """The ``y`` exact ``positive_eigenvector_in_span`` solves for, caught on
-    its way out of ``_first_kernel_vector`` as an integer vector, divided by
-    its value at the free column and its zero coordinates left out."""
+def caught_pair(w, H):
+    """The integer ``y`` exact ``positive_eigenvector_in_span`` solves for,
+    caught on its way out of ``_first_kernel_vector``."""
     solve, solved = witness._first_kernel_vector, []
 
     def caught(rows, columns):
@@ -145,7 +157,13 @@ def solved_parity_pair(w, H):
     with mock.patch.object(witness, "_first_kernel_vector", caught):
         positive_eigenvector_in_span(w, H, ScalarMode.exact())
     [y] = solved
-    return {g: v for g, v in at_free_column(y).items() if v}
+    return y
+
+
+def solved_parity_pair(w, H):
+    """``caught_pair`` divided by its value at the free column, its zero
+    coordinates left out."""
+    return {g: v for g, v in at_free_column(caught_pair(w, H)).items() if v}
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -259,11 +277,21 @@ def holds(mode, image, target):
     return mode.within(sup_norm(image - target), sup_norm(target))
 
 
+def parity_pair(p, q):
+    """The integer parity pair with ``y_E = k p`` and ``y_O = k q``, for p
+    on even and q on odd vertices and k the lcm of their denominators: the
+    pair that ``A q = p`` and ``A p = lambda(v) q`` certify."""
+    assert not any(g.bit_count() & 1 for g in p.support())
+    assert all(g.bit_count() & 1 for g in q.support())
+    [pair] = integer_rows([dict(p.items() + q.items())])
+    return pair
+
+
 def certify(w, H, p, q, mode):
-    """The pipeline's certificate for the mode: on Multivectors in exact
-    mode, on arrays indexed by vertex in float mode."""
+    """The pipeline's certificate for the mode: on the integer parity pair
+    of p and q in exact mode, on arrays indexed by vertex in float mode."""
     if mode.is_exact:
-        _certify_eigenpair(w, H, p, q, mode)
+        _certify_eigenpair(w, H, parity_pair(p, q))
     else:
         inside = np.array([u in H for u in range(1 << H.n)])
         odd = np.array([u.bit_count() & 1 for u in range(1 << H.n)], dtype=bool)
@@ -276,8 +304,12 @@ def test_certificate_identities_are_load_bearing(mode):
     lambda(v)), so exactly they fail together. Within a tolerance they need
     not: these weights make A stretch the empty-set form by 1000 and shrink
     the top form by 1000, so a perturbation of p at 00 breaks only
-    ``A p = lambda(v) q`` and a larger one at 11 only ``A q = p``."""
+    ``A p = lambda(v) q`` and a larger one at 11 only ``A q = p``. In exact
+    mode all three pairs reach the certificate as integer parity pairs,
+    with weights scaled by ``den = 1000``, so that reading
+    ``den^2 lambda(v)`` as ``den lambda(v)`` refuses the genuine pair."""
     w = WeightConfig(2, (LOPSIDED,) * 2, (Fraction(1, LOPSIDED),) * 2)
+    assert w.scaled_to_integers() == (LOPSIDED, (LOPSIDED**2,) * 2, (1,) * 2)
     lam = mode.convert(w.pairing)  # 2
     H = InducedSubgraph(2, 0b1111)
     q = Multivector(2, {0b01: mode.convert(1), 0b10: mode.convert(1)})
@@ -300,6 +332,31 @@ def test_certificate_identities_are_load_bearing(mode):
             certify(w, H, p_bad, q_bad, mode)
 
 
+def test_integer_certificate_checks_each_identity(monkeypatch):
+    """Neither identity is taken as implied by the other through
+    ``A^2 = lambda(v)``: with the certificate's wedge doubled, its A squares
+    to ``2 lambda(v)``, and a pair that meets only one identity under that
+    A is refused."""
+    w = WeightConfig.uniform(2)  # den = 1, lambda(v) = 2
+    H = InducedSubgraph(2, 0b1111)
+
+    def doubled(lam, x):
+        return wedge_lambda([2 * a for a in lam], x)
+
+    def A(x):
+        return interior_product(w.v, x) + doubled(w.lam, x)
+
+    y_odd, y_even = Multivector(2, {0b01: 1}), Multivector(2, {0b00: 2})
+    first_only = y_odd + A(y_odd)  # y_E = A y_O
+    second_only = y_even + A(y_even).scaled(Fraction(1, 2))  # y_O = A y_E / lambda(v)
+    # and each misses the other identity
+    assert A(A(y_odd)) != y_odd.scaled(2) and A(A(y_even).scaled(Fraction(1, 2))) != y_even
+    monkeypatch.setattr(witness, "wedge_lambda", doubled)
+    for x in (first_only, second_only):
+        with pytest.raises(InvariantViolation, match="residual"):
+            _certify_eigenpair(w, H, {g: int(c) for g, c in x.items()})
+
+
 @pytest.mark.parametrize("mode", [ScalarMode.exact(), ScalarMode.floating()], ids=["exact", "float"])
 def test_certificate_refuses_support_outside_h(mode):
     w = WeightConfig.uniform(2)
@@ -308,3 +365,76 @@ def test_certificate_refuses_support_outside_h(mode):
     certify(w, InducedSubgraph.from_vertices(2, [0b00, 0b01, 0b11]), p, q, mode)
     with pytest.raises(InvariantViolation, match="escapes"):
         certify(w, InducedSubgraph.from_vertices(2, [0b00, 0b01, 0b10]), p, q, mode)
+
+
+# -- the integer certificate against the Fraction one --------------------------
+
+CERTIFICATE_RATIOS = RATIOS + (Fraction(3, 5),)
+
+
+def negative_v_weights(rng, n):
+    """``random_weights`` of either sign, drawn until a v coordinate is negative."""
+    while True:
+        w = random_weights(rng, n, positive=False)
+        if min(w.v) < 0:
+            return w
+
+
+def certificate_cases():
+    """(w, H) pairs for n = 1..7: one random H of size 2^(n-1) + 1, one of
+    a random large size and ``edge_subgraphs``, under C in {1/2, 1, 2, 3/5},
+    ``mixed_weights`` and ``negative_v_weights``; and the first 6 of the
+    n = 4 9-subsets of max degree 2 at C = 1, which meet the bound
+    sqrt(4) = 2 with equality."""
+    rng = random.Random(30)
+    cases = []
+    for n in range(1, 8):
+        sizes = ((1 << (n - 1)) + 1, rng.randrange((1 << (n - 1)) + 1, (1 << n) + 1))
+        subgraphs = [InducedSubgraph(n, sample_mask(rng, 1 << n, k)) for k in sizes]
+        configs = [WeightConfig.from_ratio(n, ratio) for ratio in CERTIFICATE_RATIOS]
+        configs += [mixed_weights(rng, n), negative_v_weights(rng, n)]
+        cases += [(w, H) for w in configs for H in subgraphs + edge_subgraphs(n)]
+    tight = (s for s in combinations(range(16), 9) if oracle_max_degree(4, s) == 2)
+    w = WeightConfig.from_ratio(4, 1)
+    return cases + [(w, InducedSubgraph.from_vertices(4, s)) for s in islice(tight, 6)]
+
+
+def one_sided_corruptions(y, H):
+    """Parity pairs that differ from y on one side only: the first and the
+    last coordinate of y_E, then of y_O, raised by 1; the whole of y_E, then
+    of y_O, doubled; and a coordinate 1 added at the first vertex outside H."""
+    sides = ([g for g in y if not g.bit_count() & 1], [g for g in y if g.bit_count() & 1])
+    bad = []
+    for side in sides:
+        bad += [{**y, g: y[g] + 1} for g in dict.fromkeys((side[0], side[-1]))]
+        bad.append({g: 2 * c if g in side else c for g, c in y.items()})
+    outside = next((g for g in range(1 << H.n) if g not in H), None)
+    return bad + ([{**y, outside: 1}] if outside is not None else [])
+
+
+def verdict(check, *args):
+    try:
+        check(*args)
+    except InvariantViolation as error:
+        return str(error)
+    return None
+
+
+def test_integer_certificate_agrees_with_fraction_oracle():
+    exact = ScalarMode.exact()
+    cases, refused = certificate_cases(), Counter()
+    for w, H in cases:
+        y = caught_pair(w, H)
+        p, q = oracle_eigenpair(w, y)
+        # the oracle reads p and q off y as the pipeline does
+        assert p + q.scaled(w.eigenvalue()) == positive_eigenvector_in_span(w, H, exact)
+        for pair in [y] + one_sided_corruptions(y, H):
+            got = verdict(_certify_eigenpair, w, H, pair)
+            expected = verdict(oracle_certify_eigenpair, w, H, *oracle_eigenpair(w, pair), exact)
+            assert got == expected, (H.members, w, pair)
+            assert (got is None) == (pair is y), (H.members, w, pair)
+            refused[got] += 1
+    assert refused[None] == len(cases)
+    # both refusals are reached: a residual inside H and support outside it
+    assert refused["exact eigenvector residual is nonzero"] > 0, refused
+    assert refused["eigenvector support escapes H"] > 0, refused

@@ -1,17 +1,20 @@
 """The sparsest-row integer eliminator against the first-row Fraction one.
 
-``witness._first_kernel_vector`` scales its rational rows to integers,
-eliminates them fraction-free and pivots each column on the remaining row
-with the fewest nonzeros; ``helpers.oracle_vertex_kernel_vector`` is the
-eliminator it replaced, which pivots on the first remaining row over
-Fractions. The row choice changes only fill-in, and each integer row is a
-nonzero multiple of the Fraction row, so the integer vector divided by its
-value at the free column (``helpers.at_free_column``) must be the oracle's.
+``witness._first_kernel_vector`` takes integer rows, eliminates them
+fraction-free and pivots each column on the remaining row with the fewest
+nonzeros; ``helpers.oracle_vertex_kernel_vector`` is the eliminator it
+replaced, which pivots on the first remaining row over Fractions. Each
+test hands the oracle rational rows and the eliminator the same rows
+scaled to integers by ``helpers.integer_rows``. The row choice changes
+only fill-in, and each integer row is a nonzero multiple of the Fraction
+row, so the integer vector divided by its value at the free column
+(``helpers.at_free_column``) must be the oracle's.
 
 Core claims:
     - every value returned is an int
     - on the exact parity systems ``[M[E' u E, O] | -I_E]`` that
-      ``positive_eigenvector_in_span`` solves, the normalized vector is the
+      ``positive_eigenvector_in_span`` solves (integer rows of ``den * M``
+      and ``-den``, read back as Fractions), the normalized vector is the
       oracle's dict: the same keys in the same order, equal values of the
       same types. Covered: seeded random H for n = 2..8 (the sizes
       2^(n-1) + 1 and one larger), the full cube and both
@@ -27,7 +30,7 @@ Core claims:
     - a system with a trivial kernel returns None from both
     - a derandomized hypothesis case over small sparse systems, whose
       Fraction entries, mostly -1, 0 and 1, make rows cancel and fill in
-    - the rows passed in are left as they were
+    - the rows passed in, rational and integer, are left as they were
 """
 
 import random
@@ -46,6 +49,7 @@ from cubesense.witness import _first_kernel_vector
 from helpers import (
     at_free_column,
     edge_subgraphs,
+    integer_rows,
     full_cube,
     mixed_weights,
     oracle_quadratic_eigenvector,
@@ -57,10 +61,11 @@ RATIOS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 def assert_same_vector(rows, columns):
-    before = [dict(r) for r in rows]
-    got = at_free_column(_first_kernel_vector(rows, columns))
+    before, scaled = [dict(r) for r in rows], integer_rows(rows)
+    scaled_before = [dict(r) for r in scaled]
+    got = at_free_column(_first_kernel_vector(scaled, columns))
     expected = oracle_vertex_kernel_vector(rows, columns)
-    assert rows == before
+    assert rows == before and scaled == scaled_before
     if expected is None:
         assert got is None
         return None
@@ -70,11 +75,13 @@ def assert_same_vector(rows, columns):
 
 
 def parity_system(w, H):
-    """The (rows, columns) exact ``positive_eigenvector_in_span`` eliminates."""
+    """The (rows, columns) exact ``positive_eigenvector_in_span`` eliminates,
+    its integer entries read as Fractions, as the oracle takes them."""
     caught = []
 
     def catch(rows, columns):
-        caught.append(([dict(r) for r in rows], list(columns)))
+        assert all(type(v) is int for r in rows for v in r.values())
+        caught.append(([{c: Fraction(v) for c, v in r.items()} for r in rows], list(columns)))
         return _first_kernel_vector(rows, columns)
 
     with mock.patch.object(witness, "_first_kernel_vector", catch):

@@ -51,6 +51,7 @@ from helpers import (
     dense_coefficients,
     dense_matvec,
     full_cube,
+    integer_rows,
     max_coordinate,
     oracle_max_degree,
     to_dense,
@@ -322,7 +323,9 @@ def test_float_rank_detection_failure():
 
 def test_exact_kernel_of_full_rank_system_is_none():
     # every column carries a pivot, so no column is free
-    assert _first_kernel_vector([{0: 1}, {1: 1}], [0, 1]) is None
+    rows = integer_rows([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {1: Fraction(2, 3)}])
+    assert rows == [{0: 3, 1: 2}, {1: 4}]
+    assert _first_kernel_vector(rows, [0, 1]) is None
 
 
 def test_reports_serialize_deterministically():
