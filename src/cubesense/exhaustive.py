@@ -2,15 +2,15 @@
 
 Enumerates induced subgraphs of a fixed size (all of them, or a seeded
 random sample) and aggregates: the minimum over subsets of the max degree
-(with the smallest-rank subset reaching it), a histogram, and the count of
+(with the first subset reaching it), a histogram, and the count of
 bound violations (which must be zero).
 
-Subsets are bitmasks over the 2^n vertices, scanned in rank order. A
+Subsets are bitmasks over the 2^n vertices, scanned in order. A
 seeded sample's draws (``_plan_masks``) are one stream, packed with
 ``_pack`` in the calling process; an exhaustive plan's symmetry slice is
-cut into rank intervals, one job ``_scan_shard`` each. Both reach one
-block loop, ``_scan``, as bytes: it cuts them in blocks of up to
-``BLOCK_BITS`` bits, one lane per subset, and gets every lane's max
+cut into rank intervals, one job ``_scan_shard`` each, merged in order.
+Both reach one block loop, ``_scan``, as bytes: it cuts them in blocks of
+up to ``BLOCK_BITS`` bits, one lane per subset, and gets every lane's max
 degree from a single bit-sliced ``cube.degree_sets`` call, so each
 big-int operation serves the whole block. It builds a full block's lane
 word ``cube.lane_ones`` once: the kernel derives its direction masks
@@ -23,8 +23,9 @@ k-subset is an image of one of them under the cube's automorphisms,
 which keep the max degree, so weighting part j by ``C(n, j) 2^n`` and
 dividing by k (or by 2^n - k) gives the histogram of all C(2^n, k)
 subsets. The argmin, the subset of smallest colex rank that reaches the
-minimum, is not kept by the automorphisms: a colex prefix scan from rank
-0 finds it (``_first_argmin``).
+minimum, is not kept by the automorphisms: a colex scan from rank 0 finds
+it (``_first_argmin``). Max degree is hereditary, so that scan skips
+every branch whose vertices taken so far already exceed the minimum.
 
 Both enumerate "the r-subsets of a vertex pool, in colex order" with one
 packed enumerator, ``_pool_bytes``. Colex order is numeric order, so by
@@ -36,7 +37,8 @@ fit one block. Such a leaf is one table of the r-subsets of the pool's
 lowest vertices, packed once per (pool, r) in ``_pool_table`` and kept,
 ORed with ``base`` in every lane: one big-int operation per leaf, not
 one step per subset. A rank interval only picks branches, so a shard
-starts anywhere without unranking.
+starts anywhere without unranking, and the interval of one rank is that
+subset (``cross_check_with_witness``).
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ class EnumerationPlan:
         """The subsets the plan covers, which the budget counts and a report
         gives as ``subsets_checked``: the sample count of a seeded sample,
         and all C(2^n, k) of an exhaustive plan, although its scan visits
-        only one symmetry slice and a colex prefix."""
+        only one symmetry slice and, up to the argmin, the colex subsets
+        that no pruned branch holds."""
         if isinstance(self.strategy, RandomSample):
             return self.strategy.count
         return self.universe_size
@@ -159,22 +162,6 @@ class EnumerationPlan:
         }
 
 
-def unrank_combination(rank: int, k: int) -> int:
-    """The rank-th (0-based) k-element bitmask in colex order.
-
-    Combinatorial number system: rank = sum C(c_i, i) over the descending
-    bit positions c_k > ... > c_1.
-    """
-    mask = 0
-    for i in range(k, 0, -1):
-        c = i - 1
-        while math.comb(c + 1, i) <= rank:
-            c += 1
-        rank -= math.comb(c, i)
-        mask |= 1 << c
-    return mask
-
-
 def sample_mask(rng: random.Random, universe: int, size: int) -> int:
     """Floyd's sampling: a uniform size-subset of [0, universe) as a
     bitmask, from ``randrange`` alone (not random.sample) so that seeded
@@ -196,12 +183,13 @@ def max_induced_degree(members: int, n: int) -> int:
 @dataclass
 class _ShardResult:
     histogram: Counter = field(default_factory=Counter)  # max degree -> weighted count
-    best: Optional[Tuple[int, int, int]] = None  # (max degree, rank, mask) of the argmin
+    best: Optional[Tuple[int, int]] = None  # (max degree, mask) of the argmin
 
     def merge(self, other: "_ShardResult") -> None:
+        """Adds a later result of the same scan: a tie keeps the earlier
+        argmin, as every merge is in scan order."""
         self.histogram.update(other.histogram)
-        # argmin ties across shards break by smallest scan rank
-        if other.best is not None and (self.best is None or other.best < self.best):
+        if other.best is not None and (self.best is None or other.best[0] < self.best[0]):
             self.best = other.best
 
 
@@ -219,12 +207,12 @@ def _pack(masks: List[int], n: int) -> bytes:
 
 
 def _scan_block(
-    n: int, first_rank: int, packed: int, count: int, ones: int, runs: List[Tuple[int, int]]
+    n: int, packed: int, count: int, ones: int, runs: List[Tuple[int, int]]
 ) -> _ShardResult:
-    """Statistics of ``count`` packed subsets, of ranks first_rank on, from
-    one ``degree_sets`` call on their lane word ``ones``. ``runs`` lists
-    ``(lanes, weight)`` for the block's runs of lanes in turn: each subset
-    of a run counts weight times in the histogram.
+    """Statistics of ``count`` packed subsets, from one ``degree_sets`` call
+    on their lane word ``ones``. ``runs`` lists ``(lanes, weight)`` for the
+    block's runs of lanes in turn: each subset of a run counts weight times
+    in the histogram.
 
     A lane's flag is its top bit, set by ``((x & low) + low | x) & top``
     iff the lane of x is nonzero, so the popcount of the flags of
@@ -237,10 +225,8 @@ def _scan_block(
     counts = [f.bit_count() for f in flags]
     least = max(d for d in range(n + 1) if counts[d] == count)
     tied = top ^ flags[least + 1]  # the lanes whose max degree is `least`
-    lane = ((tied & -tied).bit_length() - 1) // width  # the smallest rank
-    result = _ShardResult(
-        best=(least, first_rank + lane, packed >> (lane * width) & ((1 << width) - 1))
-    )
+    lane = ((tied & -tied).bit_length() - 1) // width  # the first of them
+    result = _ShardResult(best=(least, packed >> (lane * width) & ((1 << width) - 1)))
     at = 0
     for lanes, weight in runs:
         if lanes < count:  # the run's own flags
@@ -272,20 +258,25 @@ def _pool_table(n: int, pool: int, r: int) -> Tuple[int, int, int]:
 
 
 def _pool_bytes(
-    n: int, pool: int, r: int, start: int, stop: int, base: int = 0
+    n: int, pool: int, r: int, start: int, stop: int, base: int = 0, cap: int = sys.maxsize
 ) -> Iterator[bytes]:
     """The r-subsets of the vertex set ``pool`` of colex ranks start..stop-1,
-    each ORed with ``base``, as the bytes of their lanes in turn.
+    each ORed with ``base``, as the bytes of their lanes in turn, less
+    the branches below that already hold a vertex of induced degree above
+    ``cap``: every subset of max degree at most cap is kept.
 
     If they fit one block, they are a slice of pool's kept table ORed with
     base in every lane: one big-int operation. Otherwise, by Pascal's rule,
     the first C(|pool| - 1, r) ranks are the r-subsets of pool without its
     top vertex, and the rest the (r - 1)-subsets of the same vertices with
     the top one added. Each branch gets the part of start..stop-1 in it.
-    Branches wait on a stack, not in nested calls: a pool can be nearly as
-    many levels deep as it has vertices, 2^n, past Python's recursion limit.
+    Max degree is hereditary, so the second branch is dropped whole if its
+    base already has a vertex of degree above cap; a cap of n or more
+    prunes nothing. Branches wait on a stack, not in nested calls: a pool
+    can be nearly as many levels deep as it has vertices, 2^n, past
+    Python's recursion limit.
     """
-    lanes, step = _lanes(n), lane_width(n) // 8
+    lanes, step, prune = _lanes(n), lane_width(n) // 8, cap < n
     branches = [(pool, r, start, stop, base)]
     while branches:
         pool, r, start, stop, base = branches.pop()
@@ -298,8 +289,10 @@ def _pool_bytes(
             yield (table | ones * base).to_bytes(size, "little")[start * step : stop * step]
             continue
         top = 1 << (pool.bit_length() - 1)
-        rest, without = pool ^ top, math.comb(pool.bit_count() - 1, r)
-        branches.append((rest, r - 1, max(start - without, 0), stop - without, base | top))
+        rest, without, taken = pool ^ top, math.comb(pool.bit_count() - 1, r), base | top
+        # cap + 1 vertices or fewer have no vertex of degree above cap
+        if not (prune and taken.bit_count() > cap + 1 and degree_sets(taken, n, 1)[cap + 1]):
+            branches.append((rest, r - 1, max(start - without, 0), stop - without, taken))
         branches.append((rest, r, start, min(stop, without), base))  # popped first
 
 
@@ -363,12 +356,12 @@ def _slice(n: int, k: int) -> Tuple[int, Tuple[Tuple[int, int, int, int], ...]]:
 
 
 def _scan(
-    n: int, pieces: Iterable[Tuple[bytes, int]], first_rank: int, prefix: Tuple[int, ...] = ()
+    n: int, pieces: Iterable[Tuple[bytes, int]], prefix: Tuple[int, ...] = ()
 ) -> Iterator[_ShardResult]:
-    """``_scan_block`` of each block ``_blocks`` cuts from pieces, in turn,
-    the first of rank first_rank: blocks of the ``prefix`` sizes, capped
-    at a full block, then full blocks. The full block's lane word is
-    built once, when the first full block comes."""
+    """``_scan_block`` of each block ``_blocks`` cuts from pieces, in turn:
+    blocks of the ``prefix`` sizes, capped at a full block, then full
+    blocks. The full block's lane word is built once, when the first full
+    block comes."""
     lanes, full = _lanes(n), 0
     sizes = chain((min(size, lanes) for size in prefix), repeat(lanes))
     for packed, count, runs in _blocks(pieces, n, sizes):
@@ -376,8 +369,7 @@ def _scan(
             ones = lane_ones(n, count)
         else:
             ones = full = full or lane_ones(n, lanes)
-        yield _scan_block(n, first_rank, packed, count, ones, runs)
-        first_rank += count
+        yield _scan_block(n, packed, count, ones, runs)
 
 
 def _merged(results: Iterable[_ShardResult]) -> _ShardResult:
@@ -389,8 +381,9 @@ def _merged(results: Iterable[_ShardResult]) -> _ShardResult:
 
 def _scan_shard(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
     """An exhaustive plan's slice subsets of ranks start..stop-1, the
-    parts' subsets in turn, each weighted by its part. Ranks within the
-    slice mean nothing past the shard: the argmin is found elsewhere."""
+    parts' subsets in turn, each weighted by its part. Its argmin is the
+    slice's, which gives only the minimum: the plan's argmin comes from
+    ``_first_argmin``."""
     plan, start, stop = job
     n = plan.n
     _, parts = _slice(n, plan.subset_size)
@@ -400,17 +393,18 @@ def _scan_shard(job: Tuple[EnumerationPlan, int, int]) -> _ShardResult:
         first, last = max(start - at, 0), min(stop - at, length)
         pieces.append(zip(_pool_bytes(n, rest, r, first, last, base), repeat(weight)))
         at += length
-    return _merged(_scan(n, chain.from_iterable(pieces), start))
+    return _merged(_scan(n, chain.from_iterable(pieces)))
 
 
 def _first_argmin(plan: EnumerationPlan, least: int) -> int:
-    """The subset of smallest colex rank whose max degree is ``least``: the
-    colex prefix is scanned in blocks of 64, 256 and 1024 subsets, then
-    full blocks, until one holds such a subset."""
+    """The subset of smallest colex rank whose max degree is ``least``, the
+    slice's minimum: the colex order, less the branches whose base already
+    has a vertex of degree above ``least``, is scanned in blocks of 64, 256
+    and 1024 subsets, then full blocks, until one holds such a subset."""
     n = plan.n
-    pieces = _pool_bytes(n, _cube(n), plan.subset_size, 0, plan.universe_size)
-    for block in _scan(n, zip(pieces, repeat(1)), 0, (64, 256, 1024)):
-        degree, _, mask = block.best
+    pieces = _pool_bytes(n, _cube(n), plan.subset_size, 0, plan.universe_size, cap=least)
+    for block in _scan(n, zip(pieces, repeat(1)), (64, 256, 1024)):
+        degree, mask = block.best
         if degree < least:
             raise InvariantViolation("a subset's max degree is below the slice's minimum")
         if degree == least:
@@ -446,15 +440,12 @@ class ExhaustiveReport:
     def ok(self) -> bool:
         return self.violations == 0 and self.min_max_degree >= self.plan.degree_bound()
 
-    def argmin_lines(self) -> List[str]:
-        return InducedSubgraph(self.plan.n, self.argmin_subset).to_lines()
-
     def to_json_dict(self) -> dict:
         return {
             "plan": self.plan.plan_echo(),
             "subsets_checked": self.subsets_checked,
             "min_max_degree": self.min_max_degree,
-            "argmin_subset": self.argmin_lines(),
+            "argmin_subset": InducedSubgraph(self.plan.n, self.argmin_subset).to_lines(),
             "histogram": {str(k): self.histogram[k] for k in sorted(self.histogram)},
             "violations": self.violations,
         }
@@ -475,18 +466,20 @@ def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
     ``subsets_checked`` reports, although far fewer were scanned. Every
     weighted bin must divide exactly and the bins must sum to C(2^n, k),
     or InvariantViolation is raised. The argmin, the subset of smallest
-    colex rank reaching the minimum, comes from a colex prefix scan.
+    colex rank reaching the minimum, comes from a colex scan that skips
+    every branch already above the minimum (``_first_argmin``).
 
     Deterministic for a fixed plan regardless of parallel_shards: a seeded
     sample runs here as one stream, and an exhaustive plan's shards are
-    fixed rank intervals, merged in order.
+    fixed rank intervals, merged in order. A sample's argmin is its first
+    draw reaching the minimum.
     """
     n, divisor = plan.n, 1
     sample = isinstance(plan.strategy, RandomSample)
     if sample:
         masks, lanes = _plan_masks(plan), _lanes(n)
         chunks = iter(lambda: list(islice(masks, lanes)), [])
-        total = _merged(_scan(n, ((_pack(chunk, n), 1) for chunk in chunks), 0))
+        total = _merged(_scan(n, ((_pack(chunk, n), 1) for chunk in chunks)))
     else:
         divisor, parts = _slice(n, plan.subset_size)
         scanned = sum(part[3] for part in parts)
@@ -498,7 +491,7 @@ def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
 
     if total.best is None:
         raise InvariantViolation("scan produced no subsets")
-    least, _, argmin = total.best
+    least, argmin = total.best
     histogram = {}
     for d, weighted in total.histogram.items():
         histogram[d], remainder = divmod(weighted, divisor)
@@ -537,9 +530,10 @@ def cross_check_with_witness(plan: EnumerationPlan, sample: int) -> CrossCheckRe
     max degree, and both must reach sqrt(n).
 
     Samples ranks without replacement from the plan's subset pool (seeded
-    by the plan's strategy, or 0 for exhaustive plans); sample == pool size
-    reproduces the full cross product. ``random.sample`` draws the ranks,
-    so a pool over ``sys.maxsize`` subsets is refused with ValueError.
+    by the plan's strategy, or 0 for exhaustive plans, whose rank i is the
+    colex one); sample == pool size reproduces the full cross product.
+    ``random.sample`` draws the ranks, so a pool over ``sys.maxsize``
+    subsets is refused with ValueError.
     """
     if plan.n > EXACT_DEFAULT_LIMIT:
         raise ValueError(f"cross-check is limited to n <= {EXACT_DEFAULT_LIMIT}")
@@ -552,13 +546,13 @@ def cross_check_with_witness(plan: EnumerationPlan, sample: int) -> CrossCheckRe
     seed = plan.strategy.seed if pool is not None else 0
     chosen = sorted(random.Random(seed).sample(range(pool_size), sample))
 
-    w = WeightConfig.uniform(plan.n, 1, 1)
+    n, w = plan.n, WeightConfig.uniform(plan.n, 1, 1)
     checked = consistent = 0
-    for index in chosen:
-        members = pool[index] if pool is not None else unrank_combination(
-            index, plan.subset_size
+    for i in chosen:
+        members = pool[i] if pool is not None else int.from_bytes(
+            b"".join(_pool_bytes(n, _cube(n), plan.subset_size, i, i + 1)), "little"
         )
-        H = InducedSubgraph(plan.n, members)
+        H = InducedSubgraph(n, members)
         report = run_pipeline(w, H)
         witness_degree = report.profile.degree
         _, true_max = H.max_degree()

@@ -11,10 +11,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from cubesense import (
+    EnumerationPlan,
     InducedSubgraph,
     Multivector,
     ScalarMode,
@@ -23,6 +24,7 @@ from cubesense import (
     apply_A,
     build_matrix,
 )
+from cubesense import exhaustive
 from cubesense.exterior import Scalar, _accumulate
 from cubesense.scalars import RationalLike, format_rational, sqrt_decompose
 from cubesense.witness import (
@@ -349,6 +351,37 @@ def rank_combination(mask: int) -> int:
     """The colex rank of a bitmask, ``sum C(c_i, i)`` over its set bits
     ``c_1 < ... < c_k``: the inverse of ``unrank_combination``."""
     return sum(math.comb(c, i + 1) for i, c in enumerate(oracle_iter_bits(mask)))
+
+
+def unrank_combination(rank: int, k: int) -> int:
+    """The rank-th (0-based) k-element bitmask in colex order.
+
+    Combinatorial number system: rank = sum C(c_i, i) over the descending
+    bit positions c_k > ... > c_1.
+    """
+    mask = 0
+    for i in range(k, 0, -1):
+        c = i - 1
+        while math.comb(c + 1, i) <= rank:
+            c += 1
+        rank -= math.comb(c, i)
+        mask |= 1 << c
+    return mask
+
+
+def oracle_first_argmin(plan: EnumerationPlan, least: int) -> int:
+    """The subset of smallest colex rank whose max degree is ``least``, from
+    the unpruned colex order in the scan's block schedule (blocks of 64,
+    256 and 1024 subsets, then full blocks), with both of its checks."""
+    n = plan.n
+    pieces = exhaustive._pool_bytes(n, exhaustive._cube(n), plan.subset_size, 0, plan.universe_size)
+    for block in exhaustive._scan(n, zip(pieces, repeat(1)), (64, 256, 1024)):
+        degree, mask = block.best
+        if degree < least:
+            raise InvariantViolation("a subset's max degree is below the slice's minimum")
+        if degree == least:
+            return mask
+    raise InvariantViolation("no subset reaches the slice's minimum max degree")
 
 
 # -- dense linear-algebra oracles ----------------------------------------------

@@ -1,7 +1,8 @@
 """Brute-force verifier: enumeration order, sharding, goldens, cross-checks.
 
 Core claims:
-    - Gosper iteration and colex (un)ranking agree and cover every subset
+    - Gosper iteration and colex (un)ranking agree and cover every subset;
+      the packed enumerator's interval of one rank is the unranked subset
     - the scan reproduces the independent itertools oracle for n = 2, 3, 4
       (goldens below were first computed by that oracle, then frozen)
     - zero violations of the ceil(sqrt(n)) bound anywhere
@@ -27,14 +28,16 @@ from cubesense import (
     enumerate_and_verify,
 )
 from cubesense import exhaustive
-from cubesense.exhaustive import (
-    max_induced_degree,
-    random_masks,
-    sample_mask,
+from cubesense.cube import lane_width
+from cubesense.exhaustive import max_induced_degree, random_masks, sample_mask
+
+from helpers import (
+    next_combination,
+    oracle_exhaustive,
+    oracle_max_degree,
+    rank_combination,
     unrank_combination,
 )
-
-from helpers import next_combination, oracle_exhaustive, oracle_max_degree, rank_combination
 
 # min-max degree, histogram, violations: first derived by oracle_exhaustive
 # (plain itertools enumeration), then frozen; the scan must reproduce them.
@@ -59,11 +62,35 @@ def test_gosper_enumerates_colex():
     assert masks[-1] == 0b111000
 
 
+def one_rank(n, pool, k, rank):
+    """The k-subset of the vertex set ``pool`` of colex rank ``rank``: the
+    one lane of ``_pool_bytes`` from rank to rank + 1."""
+    lane = b"".join(exhaustive._pool_bytes(n, pool, k, rank, rank + 1))
+    assert len(lane) == lane_width(n) // 8
+    return int.from_bytes(lane, "little")
+
+
 def test_rank_unrank_round_trip():
+    # the pool is the lowest 9 vertices of Q_4
     for k in (1, 2, 5):
         for rank in range(math.comb(9, k)):
-            mask = unrank_combination(rank, k)
+            mask = one_rank(4, (1 << 9) - 1, k, rank)
             assert rank_combination(mask) == rank
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_rank_matches_unrank_oracle(n):
+    # every rank of every size up to n = 3; past that ranks 0, the last,
+    # the middle and 20 drawn ones of the sizes at the ends and the middle
+    rng, cube, universe = random.Random(n), exhaustive._cube(n), 1 << n
+    sizes = range(1, universe + 1) if n <= 3 else (1, 2, universe // 2, universe // 2 + 1, universe)
+    for k in sizes:
+        total = math.comb(universe, k)
+        ranks = range(total) if n <= 3 else {0, total - 1, total // 2}
+        ranks = sorted({*ranks, *(rng.randrange(total) for _ in range(20))})
+        assert ranks[0] == 0 and ranks[-1] == total - 1
+        for rank in ranks:
+            assert one_rank(n, cube, k, rank) == unrank_combination(rank, k), (k, rank)
 
 
 def test_max_induced_degree_matches_oracle():
@@ -98,7 +125,7 @@ def test_goldens_against_live_oracle(n, size):
 
 def test_argmin_subset_is_deterministic():
     report = enumerate_and_verify(EnumerationPlan(n=3))
-    assert report.argmin_lines() == ["000", "010", "011", "100", "101"]
+    assert report.to_json_dict()["argmin_subset"] == ["000", "010", "011", "100", "101"]
     assert max_induced_degree(report.argmin_subset, 3) == report.min_max_degree
 
 

@@ -6,7 +6,7 @@ Core claims:
       (padded 8-bit lanes for n <= 3, machine-word lanes for n = 4..6,
       wide lanes for n = 7..12) and no bit crossing a lane
     - ``enumerate_and_verify`` reproduces the oracle's histogram,
-      violations, minimum and argmin (the smallest rank) for exhaustive and
+      violations, minimum and argmin (the first reaching it) for exhaustive and
       random plans, below and above half the cube
     - block and shard boundaries change nothing, ties across them included
     - the full cube's colex order, packed one leaf table at a time by
@@ -17,10 +17,14 @@ Core claims:
       lowest vertices and fits one block, at n <= 6; the 1024 vertices
       of n = 10 need no nested calls, and their one-subset leaves share
       one table
-    - the smallest rank wins a tie across a leaf boundary, in the block
-      loop from any start and in the colex prefix scan
+    - the earlier subset wins a tie across a leaf boundary, in the block
+      loop from any start and in the colex argmin scan
+    - the argmin scan, which skips every branch whose base already exceeds
+      the minimum, finds the unpruned colex scan's argmin for every size at
+      n <= 4 with blocks cut inside leaves, and at n = 5 for k <= 10 and
+      k >= 17
     - an exhaustive plan's report, weighed up from the smaller symmetry
-      slice with its argmin from the colex prefix scan, equals the colex
+      slice with its argmin from the colex argmin scan, equals the colex
       oracle's for every size at n <= 4 and the smallest and largest
       sizes at n = 5, with blocks across parts and shards across j; a
       wrong weight is refused
@@ -36,6 +40,7 @@ import functools
 import itertools
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -51,20 +56,17 @@ from cubesense import (
 )
 from cubesense import exhaustive
 from cubesense.cube import degree_sets, iter_bits, lane_ones, lane_width
-from cubesense.exhaustive import (
-    max_induced_degree,
-    random_masks,
-    sample_mask,
-    unrank_combination,
-)
+from cubesense.exhaustive import max_induced_degree, random_masks, sample_mask
 
 from helpers import (
     colex_from,
     oracle_colex,
+    oracle_first_argmin,
     oracle_max_degree,
     oracle_random_masks,
     oracle_sample_mask,
     oracle_scan,
+    unrank_combination,
 )
 
 
@@ -226,10 +228,13 @@ def test_sample_mask_matches_oracle(n):
 
 
 def unpacked(n, blocks):
-    """The masks of packed ``(packed, count, runs)`` blocks, lane by lane."""
-    width = lane_width(n)
-    lane = (1 << width) - 1
-    return [packed >> (i * width) & lane for packed, count, _ in blocks for i in range(count)]
+    """The masks of packed ``(packed, count, runs)`` blocks, lane by lane:
+    each block's bytes once, sliced per lane."""
+    step, masks = lane_width(n) // 8, []
+    for packed, count, _ in blocks:
+        data = packed.to_bytes(count * step, "little")
+        masks += (int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step))
+    return masks
 
 
 def test_plan_masks_from_any_start():
@@ -274,11 +279,11 @@ def cube_blocks(n, size, start, stop, lanes):
 def cube_scan(n, size, start, stop, prefix=()):
     """The merged ``_scan`` of the full cube's colex ranks start..stop-1."""
     pieces = exhaustive._pool_bytes(n, exhaustive._cube(n), size, start, stop)
-    return exhaustive._merged(exhaustive._scan(n, zip(pieces, itertools.repeat(1)), start, prefix))
+    return exhaustive._merged(exhaustive._scan(n, zip(pieces, itertools.repeat(1)), prefix))
 
 
 def shard_view(n, result):
-    least, _, argmin = result.best
+    least, argmin = result.best
     return {
         "subsets_checked": sum(result.histogram.values()),
         "min_max_degree": least,
@@ -344,7 +349,7 @@ def test_every_size_matches_oracle_across_chunks_and_high_halves(monkeypatch, n,
 def test_tie_across_a_high_half_boundary(monkeypatch):
     # consecutive subsets of the minimum max degree in adjacent leaves:
     # whatever the blocks, the earlier one is the argmin, in the block loop
-    # from either start and in the colex prefix scan
+    # from either start and in the argmin scan
     n, size = 4, 9
     masks, expected = colex_scan(n, size)
     least = expected["min_max_degree"]
@@ -363,9 +368,9 @@ def test_tie_across_a_high_half_boundary(monkeypatch):
             # the first block ends one past i, at the boundary, at j or past j
             for first_block in (1, boundary - i, j - i, j + 1 - i):
                 result = cube_scan(n, size, i, j + 1, (first_block,))
-                assert result.best == (least, i, masks[i]), (i, j, lanes, first_block)
+                assert result.best == (least, masks[i]), (i, j, lanes, first_block)
                 result = cube_scan(n, size, boundary, j + 1, (first_block,))
-                assert result.best == (least, j, masks[j]), (i, j, lanes, first_block)
+                assert result.best == (least, masks[j]), (i, j, lanes, first_block)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -427,7 +432,7 @@ def test_a_deep_pool_needs_no_deep_calls(monkeypatch, r):
 def test_shard_cut_inside_a_high_half(monkeypatch, n, size):
     # start and stop inside one leaf of the full cube's colex order, or in
     # different leaves: the masks in blocks of 3, and the block loop's
-    # statistics with the argmin's rank, match the oracle's slice
+    # statistics with its argmin, match the oracle's slice
     masks = oracle_colex(n, size)
     for lanes in (1, 3, 7, 4096):
         monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
@@ -449,7 +454,6 @@ def test_shard_cut_inside_a_high_half(monkeypatch, n, size):
             result = cube_scan(n, size, start, end)
             expected = oracle_scan(n, masks[start:end])
             assert shard_view(n, result) == expected, (lanes, start, end)
-            assert result.best[1] == start + masks[start:end].index(result.best[2])
 
 
 @pytest.mark.parametrize("shards", [1, 3, 400])
@@ -571,10 +575,27 @@ def test_a_wrong_weight_is_refused(monkeypatch, n, size):
         enumerate_and_verify(EnumerationPlan(n, size))
 
 
+def pruned_colex(n, vertices, r, base, cap, lanes):
+    """The pool ``vertices``' (ascending) r-subsets, each with base, in
+    colex order, less the branches with the top vertex whose base has a
+    max degree above cap: Pascal's rule, until a branch's subsets fit one
+    block of ``lanes``."""
+    if math.comb(len(vertices), r) <= lanes:
+        return sorted(base | sum(1 << v for v in c) for c in itertools.combinations(vertices, r))
+    *rest, top = vertices
+    masks = pruned_colex(n, rest, r, base, cap, lanes)
+    if oracle_max_degree(n, [u for u in range(1 << n) if (base | 1 << top) >> u & 1]) <= cap:
+        masks += pruned_colex(n, rest, r - 1, base | 1 << top, cap, lanes)
+    return masks
+
+
 @pytest.mark.parametrize("lanes", [1, 64, 4096])
 def test_argmin_past_the_first_prefix_block(monkeypatch, lanes):
     # n = 4, k = 9: the first subset of max degree 2 has colex rank 637,
-    # past the prefix scan's first block of 64 subsets
+    # past the argmin scan's first block of 64 subsets. The scan skips the
+    # branches whose base has max degree above 2, and so reaches it sooner
+    # in blocks of 1 or 64 lanes (rank 252 and 581 of what it scans). In
+    # blocks of 4096 it lies in a leaf before any branch is skipped
     monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(4))
     masks, expected = colex_scan(4, 9)
     assert masks.index(expected["argmin_subset"]) == 637
@@ -582,16 +603,54 @@ def test_argmin_past_the_first_prefix_block(monkeypatch, lanes):
     assert report.argmin_subset == expected["argmin_subset"]
     counts, scan_block = [], exhaustive._scan_block
     monkeypatch.setattr(
-        exhaustive, "_scan_block", lambda *args: counts.append(args[3]) or scan_block(*args)
+        exhaustive, "_scan_block", lambda *args: counts.append(args[2]) or scan_block(*args)
     )
     assert exhaustive._first_argmin(EnumerationPlan(4, 9), 2) == masks[637]
     # blocks of 64, 256 and 1024 subsets, each capped at a full block, up
-    # to the one that holds rank 637
+    # to the one that holds the argmin in the pruned order
+    pruned = pruned_colex(4, range(16), 9, 0, 2, lanes)
+    data = b"".join(exhaustive._pool_bytes(4, exhaustive._cube(4), 9, 0, len(masks), cap=2))
+    assert unpacked(4, [(int.from_bytes(data, "little"), len(pruned), None)]) == pruned
+    at = pruned.index(masks[637])
+    assert set(pruned) <= set(masks) and (at < 637) == (lanes < 4096)
     sizes = [min(size, lanes) for size in (64, 256, 1024)] + [lanes] * 637
-    last = next(i for i, end in enumerate(itertools.accumulate(sizes)) if end > 637)
+    last = next(i for i, end in enumerate(itertools.accumulate(sizes)) if end > at)
     assert counts == sizes[: last + 1]
     with pytest.raises(InvariantViolation, match="no subset"):  # the minimum is 2
         exhaustive._first_argmin(EnumerationPlan(4, 9), 1)
     if lanes > 1:  # rank 0 has max degree 4, and the first block goes below it
         with pytest.raises(InvariantViolation, match="below"):
             exhaustive._first_argmin(EnumerationPlan(4, 9), 4)
+
+
+def n5_minima():
+    """min_max_degree of each n = 5 size, k = 1..32, read off the frozen
+    every-size golden."""
+    lines = (Path(__file__).parent / "goldens" / "exhaustive-n5-every-size.txt").read_text()
+    return [int(line.split()[1]) for line in lines.splitlines() if "min_max_degree" in line]
+
+
+@pytest.mark.parametrize(
+    "n,lanes", [(n, lanes) for n in (1, 2, 3, 4) for lanes in (1, 3, 7, None)] + [(5, None)]
+)
+def test_pruned_argmin_matches_the_unpruned_oracle(monkeypatch, n, lanes):
+    # the argmin scan skips every branch whose base already has a max
+    # degree above the minimum; the unpruned colex scan, in the same block
+    # schedule, must find the same subset. 1, 3 and 7 lanes (None: the
+    # default block) end blocks inside leaves. Every size at n <= 4,
+    # minimum 0 (k = 1) to n (k = 2^n); at n = 5 the sizes whose oracle
+    # scan takes under a second, with the minima of the frozen golden
+    if lanes:
+        monkeypatch.setattr(exhaustive, "BLOCK_BITS", lanes * lane_width(n))
+    if n < 5:
+        sizes = range(1, (1 << n) + 1)
+        minima = [colex_scan(n, size)[1]["min_max_degree"] for size in sizes]
+        assert (minima[0], minima[-1]) == (0, n)
+    else:
+        sizes, minima = [*range(1, 11), *range(17, 33)], n5_minima()
+        minima = [minima[size - 1] for size in sizes]
+    for size, least in zip(sizes, minima):
+        plan = EnumerationPlan(n, size, budget=math.comb(1 << n, size))
+        expected = oracle_first_argmin(plan, least)
+        assert exhaustive._first_argmin(plan, least) == expected, (size, least)
+        assert max_induced_degree(expected, n) == least and expected.bit_count() == size
