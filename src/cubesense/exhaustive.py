@@ -6,15 +6,16 @@ random sample) and aggregates: the minimum over subsets of the max degree
 bound violations (which must be zero).
 
 Subsets are bitmasks over the 2^n vertices, scanned in order. A
-seeded sample's draws (``_plan_masks``) are one stream, packed with
-``_pack`` in the calling process; an exhaustive plan's symmetry slice is
-cut into rank intervals, one job ``_scan_shard`` each, merged in order.
-Both reach one block loop, ``_scan``, as bytes: it cuts them in blocks of
-up to ``BLOCK_BITS`` bits, one lane per subset, and gets every lane's max
-degree from a single bit-sliced ``cube.degree_sets`` call, so each
-big-int operation serves the whole block. It builds a full block's lane
-word ``cube.lane_ones`` once: the kernel derives its direction masks
-from it and the scan its flags.
+seeded sample's draws (``_plan_masks``) are one stream, each drawn by
+``sample_mask`` from ``rng.getrandbits`` as ``randrange`` would draw it,
+and packed with ``_pack`` in the calling process; an exhaustive plan's
+symmetry slice is cut into rank intervals, one job ``_scan_shard`` each,
+merged in order. Both reach one block loop, ``_scan``, as bytes: it
+cuts them in blocks of up to ``BLOCK_BITS`` bits, one lane per subset,
+and gets every lane's max degree from a single bit-sliced
+``cube.degree_sets`` call, so each big-int operation serves the whole
+block. It builds a full block's lane word ``cube.lane_ones`` once: the
+kernel derives its direction masks from it and the scan its flags.
 
 An exhaustive plan scans one symmetry slice of the cube (``_slice``):
 the subsets ``{0, e_1..e_j} | S``, or ``{e_1..e_j} | S`` if that side is
@@ -34,11 +35,11 @@ colex order, then the (r - 1)-subsets of the rest, each with the top
 vertex added. ``_pool_bytes`` follows these two branches depth first,
 carrying the vertices taken so far as ``base``, until a branch's subsets
 fit one block. Such a leaf is one table of the r-subsets of the pool's
-lowest vertices, packed once per (pool, r) in ``_pool_table`` and kept,
-ORed with ``base`` in every lane: one big-int operation per leaf, not
-one step per subset. A rank interval only picks branches, so a shard
-starts anywhere without unranking, and the interval of one rank is that
-subset (``cross_check_with_witness``).
+lowest vertices, packed per (pool, r) in ``_pool_table``, which keeps
+the last 64, ORed with ``base`` in every lane: one big-int operation per
+leaf, not one step per subset. A rank interval only picks branches, so a
+shard starts anywhere without unranking, and the interval of one rank is
+that subset (``cross_check_with_witness``).
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ DEFAULT_BUDGET = 10**8
 BLOCK_BITS = 1 << 16
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes, standard size
 _BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes -> binary digits
+# sample_mask keeps a draw of up to universe / SPARSE_RATIO members in a
+# set, and marks a byte per vertex above that: at n = 7..16 a draw of
+# universe / 64 members cost about the same either way
+SPARSE_RATIO = 64
 
 
 class BudgetExceededError(ValueError):
@@ -164,13 +169,38 @@ class EnumerationPlan:
 
 def sample_mask(rng: random.Random, universe: int, size: int) -> int:
     """Floyd's sampling: a uniform size-subset of [0, universe) as a
-    bitmask, from ``randrange`` alone (not random.sample) so that seeded
-    runs stay stable."""
+    bitmask. Member j's draw is ``rng.randrange(j + 1)`` read as
+    ``random.Random`` reads it: ``getrandbits(k)``, k the bit length of
+    j + 1, drawn again while above j. So the stream, each mask and the
+    rng's state after each draw are those of a ``randrange`` loop, with
+    none of its Python frames, and seeded runs stay stable.
+
+    A draw of at most ``universe / SPARSE_RATIO`` members keeps them in a
+    set and packs the mask from them, one bit each: O(size + universe / 8).
+    A larger one marks a byte per vertex and parses the mask once:
+    O(universe).
+    """
     if not 0 < size <= universe:
         raise ValueError(f"cannot sample {size} of {universe}")
+    getrandbits = rng.getrandbits
+    if size * SPARSE_RATIO <= universe:
+        members = set()
+        for j in range(universe - size, universe):
+            k = (j + 1).bit_length()
+            t = getrandbits(k)
+            while t > j:
+                t = getrandbits(k)
+            members.add(j if t in members else t)
+        bits = bytearray((universe + 7) >> 3)
+        for v in members:
+            bits[v >> 3] |= 1 << (v & 7)
+        return int.from_bytes(bits, "little")
     seen = bytearray(universe)
     for j in range(universe - size, universe):
-        t = rng.randrange(j + 1)
+        k = (j + 1).bit_length()
+        t = getrandbits(k)
+        while t > j:
+            t = getrandbits(k)
         seen[j if seen[t] else t] = 1
     return int(seen[::-1].translate(_BYTE_BITS), 2)
 
@@ -245,10 +275,10 @@ def _plan_masks(plan: EnumerationPlan) -> Iterator[int]:
     return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _pool_table(n: int, pool: int, r: int) -> Tuple[int, int, int]:
-    """Every r-subset of the vertex set ``pool`` in colex order, packed and
-    kept for the life of the process: ``(table, ones, size)``, where
+    """Every r-subset of the vertex set ``pool`` in colex order, packed,
+    the last 64 asked for kept: ``(table, ones, size)``, where
     ``ones`` has a 1 at the bottom of each of the table's lanes and
     ``size`` is their length in bytes. ``_pool_bytes`` asks only for
     tables that fit one block."""
@@ -427,14 +457,40 @@ def _run_shards(jobs: list) -> _ShardResult:
     return _merged(map(_scan_shard, jobs))
 
 
-@dataclass(frozen=True)
+# tuples are immutable, so one counts tuple serves every report of equal
+# counts: a long run that repeats its n = 4 plans keeps one per plan
+@functools.lru_cache(maxsize=64)
+def _shared_counts(counts: Tuple[int, ...]) -> Tuple[int, ...]:
+    return counts
+
+
+@dataclass(frozen=True, slots=True)
 class ExhaustiveReport:
+    """A scan's statistics, kept small: ``counts[d]`` is the number of
+    subsets of max degree d, up to the largest max degree seen, one tuple
+    shared by every report of equal counts. ``histogram`` (a fresh dict on
+    each read), ``subsets_checked``, ``min_max_degree`` and ``violations``
+    are derived from it on each read."""
+
     plan: EnumerationPlan
-    subsets_checked: int
-    min_max_degree: int
     argmin_subset: int  # membership bitmask of one subset achieving the min
-    histogram: Dict[int, int]
-    violations: int
+    counts: Tuple[int, ...]
+
+    @property
+    def histogram(self) -> Dict[int, int]:
+        return {d: c for d, c in enumerate(self.counts) if c}
+
+    @property
+    def subsets_checked(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def min_max_degree(self) -> int:
+        return next(d for d, c in enumerate(self.counts) if c)
+
+    @property
+    def violations(self) -> int:
+        return sum(self.counts[: self.plan.degree_bound()])
 
     @property
     def ok(self) -> bool:
@@ -446,7 +502,7 @@ class ExhaustiveReport:
             "subsets_checked": self.subsets_checked,
             "min_max_degree": self.min_max_degree,
             "argmin_subset": InducedSubgraph(self.plan.n, self.argmin_subset).to_lines(),
-            "histogram": {str(k): self.histogram[k] for k in sorted(self.histogram)},
+            "histogram": {str(d): c for d, c in self.histogram.items()},
             "violations": self.violations,
         }
 
@@ -492,23 +548,16 @@ def enumerate_and_verify(plan: EnumerationPlan) -> ExhaustiveReport:
     if total.best is None:
         raise InvariantViolation("scan produced no subsets")
     least, argmin = total.best
-    histogram = {}
+    counts = [0] * (max(total.histogram) + 1)
     for d, weighted in total.histogram.items():
-        histogram[d], remainder = divmod(weighted, divisor)
+        counts[d], remainder = divmod(weighted, divisor)
         if remainder:
             raise InvariantViolation(f"the weighted bin {d} is not a multiple of {divisor}")
-    if sum(histogram.values()) != plan.total_to_scan:
+    if sum(counts) != plan.total_to_scan:
         raise InvariantViolation(f"the bins do not sum to the plan's {plan.total_to_scan} subsets")
     if not sample:
         argmin = _first_argmin(plan, least)
-    return ExhaustiveReport(
-        plan=plan,
-        subsets_checked=plan.total_to_scan,
-        min_max_degree=least,
-        argmin_subset=argmin,
-        histogram=histogram,
-        violations=sum(histogram[d] for d in histogram if d < plan.degree_bound()),
-    )
+    return ExhaustiveReport(plan, argmin, _shared_counts(tuple(counts)))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,13 @@ GOLDENS = {
     ],
     "exhaustive-random.json": ["exhaustive", "--n", "5", "--strategy", "random:500:42"],
     "exhaustive-n4.txt": ["exhaustive", "--n", "4", "--format", "text"],
+    "exhaustive-n16-size2-random.txt": [
+        "exhaustive", "--n", "16", "--size", "2", "--strategy", "random:2000:0", "--format", "text",
+    ],
 }
+# a 2-subset has max degree at most 1, under the bound, so its report
+# counts violations and the CLI exits 2; every other golden exits 0
+EXIT_CODES = {"exhaustive-n16-size2-random.txt": 2}
 
 N5_GOLDEN = GOLDEN_DIR / "exhaustive-n5-size17.json"
 N5_EVERY_SIZE = GOLDEN_DIR / "exhaustive-n5-every-size.txt"
@@ -68,7 +74,7 @@ N5_EVERY_SIZE = GOLDEN_DIR / "exhaustive-n5-every-size.txt"
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_cli_report_matches_golden(name, capsys):
-    assert cli.main(GOLDENS[name]) == 0
+    assert cli.main(GOLDENS[name]) == EXIT_CODES.get(name, 0)
     assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text()
 
 
@@ -132,6 +138,6 @@ if __name__ == "__main__":
     for name, args in GOLDENS.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert cli.main(args) == 0, name
+            assert cli.main(args) == EXIT_CODES.get(name, 0), name
         (GOLDEN_DIR / name).write_text(buf.getvalue())
         print(f"wrote {name}")

@@ -28,7 +28,9 @@ Core claims:
       oracle's for every size at n <= 4 and the smallest and largest
       sizes at n = 5, with blocks across parts and shards across j; a
       wrong weight is refused
-    - the seeded draw equals the plain Floyd loop, and a seeded sample
+    - the seeded draw equals the plain Floyd loop over ``randrange``, and
+      leaves the rng in the same state, at sizes 1..3 up to n = 16 and on
+      both sides of the set / byte-per-vertex crossover; a seeded sample
       draws each subset once, in one stream, whatever the shard count
 
 In test names a "high half" is a leaf and "split" the branching into
@@ -214,11 +216,18 @@ def test_random_plans_match_oracle_property(n, data):
             assert report_view(n, plan) == oracle_scan(n, plan_masks(plan))
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_sample_mask_matches_oracle(n):
+    # sizes 1..3; the largest size kept in a set and the next one, which
+    # marks a byte per vertex; and up to n = 10, where the oracle's
+    # quadratic cost stays small, half the cube plus one and all of it
     universe = 1 << n
+    sparse = universe // exhaustive.SPARSE_RATIO
+    sizes = {1, 2, 3, sparse, sparse + 1}
+    if n <= 10:
+        sizes |= {universe // 2 + 1, universe}
     for seed in (0, 1, 7, 2**31 + 5):
-        for size in (1, universe // 2 + 1, universe):
+        for size in sorted(size for size in sizes if 0 < size <= universe):
             rng, oracle_rng = random.Random(seed), random.Random(seed)
             for _ in range(3):  # later draws continue the same rng
                 assert sample_mask(rng, universe, size) == oracle_sample_mask(

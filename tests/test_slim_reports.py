@@ -1,5 +1,6 @@
-"""Witness reports that keep little alive: slotted report classes, and one
-shared square root per weight ratio.
+"""Reports that keep little alive: slotted report classes, one shared
+square root per weight ratio, and one shared counts tuple per scan
+histogram.
 
 Core claims:
     - a ``run_pipeline`` report and its ``profile`` carry no instance dict
@@ -22,6 +23,11 @@ Core claims:
       ``mode.sqrt`` for int, Fraction and float inputs in both modes, and
       the same object when asked again
     - ``QuadraticScalar.sqrt_of`` builds the triple the constructor builds
+    - an ``ExhaustiveReport`` has no instance dict and keeps the plan, the
+      argmin and one counts tuple, shared by reports of equal counts; its
+      ``histogram`` is a fresh dict on each read, so mutating one changes
+      neither the report nor ``to_json_dict()``, and its derived fields
+      match the oracle scan, for an exhaustive and a random plan
 """
 
 import dataclasses
@@ -31,14 +37,19 @@ import pytest
 
 from cubesense import (
     DegreeProfile,
+    EnumerationPlan,
     InducedSubgraph,
     QuadraticScalar,
+    RandomSample,
     ScalarMode,
     WeightConfig,
+    enumerate_and_verify,
     run_pipeline,
     sqrt_decompose,
 )
 from cubesense.scalars import shared_sqrt
+
+from helpers import oracle_colex, oracle_random_masks, oracle_scan
 
 MODES = (ScalarMode.exact(), ScalarMode.floating())
 # Q_3 without 011, and Q_4's vertices below 9 with 15
@@ -148,3 +159,33 @@ def test_sqrt_of_builds_the_constructors_triple(q):
     assert (built._a, built._b, built._c, built._d) == (
         expected._a, expected._b, expected._c, expected._d
     )
+
+
+@pytest.mark.parametrize(
+    "plan, masks",
+    [
+        (EnumerationPlan(3, 5), oracle_colex(3, 5)),
+        (EnumerationPlan(4, 9, RandomSample(60, 3)), oracle_random_masks(4, 9, 60, 3)),
+    ],
+    ids=["exhaustive", "random"],
+)
+def test_scan_report_keeps_plan_argmin_and_shared_counts(plan, masks):
+    report = enumerate_and_verify(plan)
+    assert type(report).__dictoffset__ == 0 and not hasattr(report, "__dict__")
+    assert [f.name for f in dataclasses.fields(report)] == ["plan", "argmin_subset", "counts"]
+    with pytest.raises(AttributeError):
+        object.__setattr__(report, "note", 1)
+    expected = oracle_scan(plan.n, masks)
+    assert {name: getattr(report, name) for name in expected} == expected
+
+    view = report.to_json_dict()
+    histogram = report.histogram
+    assert histogram is not report.histogram
+    histogram.clear()
+    histogram[99] = 1
+    assert report.histogram == expected["histogram"]
+    assert report.to_json_dict() == view
+
+    again = enumerate_and_verify(dataclasses.replace(plan))
+    assert again.plan is not report.plan
+    assert again == report and again.counts is report.counts
