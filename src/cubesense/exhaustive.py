@@ -6,9 +6,10 @@ random sample) and aggregates: the minimum over subsets of the max degree
 bound violations (which must be zero).
 
 Subsets are bitmasks over the 2^n vertices, scanned in order. A
-seeded sample's draws (``_plan_masks``) are one stream, each drawn by
-``sample_mask`` from ``rng.getrandbits`` as ``randrange`` would draw it,
-and packed with ``_pack`` in the calling process; an exhaustive plan's
+seeded sample's draws (``_plan_masks``) are one ``_draws`` stream: one
+Floyd loop over ``rng.getrandbits``, drawing as ``randrange`` would and
+reading each member's bit count once per run of members, its masks
+packed with ``_pack`` in the calling process. An exhaustive plan's
 symmetry slice is cut into rank intervals, one job ``_scan_shard`` each,
 merged in order. Both reach one block loop, ``_scan``, as bytes: it
 cuts them in blocks of up to ``BLOCK_BITS`` bits, one lane per subset,
@@ -68,7 +69,7 @@ DEFAULT_BUDGET = 10**8
 BLOCK_BITS = 1 << 16
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes, standard size
 _BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")  # membership bytes -> binary digits
-# sample_mask keeps a draw of up to universe / SPARSE_RATIO members in a
+# _draws keeps a draw of up to universe / SPARSE_RATIO members in a
 # set, and marks a byte per vertex above that: at n = 7..16 a draw of
 # universe / 64 members cost about the same either way
 SPARSE_RATIO = 64
@@ -167,13 +168,16 @@ class EnumerationPlan:
         }
 
 
-def sample_mask(rng: random.Random, universe: int, size: int) -> int:
-    """Floyd's sampling: a uniform size-subset of [0, universe) as a
-    bitmask. Member j's draw is ``rng.randrange(j + 1)`` read as
-    ``random.Random`` reads it: ``getrandbits(k)``, k the bit length of
-    j + 1, drawn again while above j. So the stream, each mask and the
-    rng's state after each draw are those of a ``randrange`` loop, with
-    none of its Python frames, and seeded runs stay stable.
+def _draws(rng: random.Random, universe: int, size: int) -> Iterator[int]:
+    """Floyd's sampling, for ever: uniform size-subsets of [0, universe) as
+    bitmasks, each drawn from the rng state the one before left. Member j's
+    draw is ``rng.randrange(j + 1)`` read as ``random.Random`` reads it:
+    ``getrandbits(k)``, k the bit length of j + 1, drawn again while above
+    j. So the stream, each mask and the rng's state after each draw are
+    those of a ``randrange`` loop, with none of its Python frames, and
+    seeded runs stay stable. k changes only where j + 1 reaches a power of
+    two, so j = universe - size .. universe - 1 is cut once into runs of
+    one k each.
 
     A draw of at most ``universe / SPARSE_RATIO`` members keeps them in a
     set and packs the mask from them, one bit each: O(size + universe / 8).
@@ -182,27 +186,41 @@ def sample_mask(rng: random.Random, universe: int, size: int) -> int:
     """
     if not 0 < size <= universe:
         raise ValueError(f"cannot sample {size} of {universe}")
-    getrandbits = rng.getrandbits
-    if size * SPARSE_RATIO <= universe:
-        members = set()
-        for j in range(universe - size, universe):
-            k = (j + 1).bit_length()
-            t = getrandbits(k)
-            while t > j:
-                t = getrandbits(k)
-            members.add(j if t in members else t)
-        bits = bytearray((universe + 7) >> 3)
-        for v in members:
-            bits[v >> 3] |= 1 << (v & 7)
-        return int.from_bytes(bits, "little")
-    seen = bytearray(universe)
-    for j in range(universe - size, universe):
+    getrandbits, runs, j = rng.getrandbits, [], universe - size
+    while j < universe:  # j + 1 has bit length k up to j = 2^k - 2
         k = (j + 1).bit_length()
-        t = getrandbits(k)
-        while t > j:
-            t = getrandbits(k)
-        seen[j if seen[t] else t] = 1
-    return int(seen[::-1].translate(_BYTE_BITS), 2)
+        stop = min(universe, (1 << k) - 1)
+        runs.append((range(j, stop), k))
+        j = stop
+    if size * SPARSE_RATIO <= universe:
+        while True:
+            members = set()
+            for js, k in runs:
+                for j in js:
+                    t = getrandbits(k)
+                    while t > j:
+                        t = getrandbits(k)
+                    members.add(j if t in members else t)
+            bits = bytearray((universe + 7) >> 3)
+            for v in members:
+                bits[v >> 3] |= 1 << (v & 7)
+            yield int.from_bytes(bits, "little")
+    while True:
+        seen = bytearray(universe)
+        for js, k in runs:
+            for j in js:
+                t = getrandbits(k)
+                while t > j:
+                    t = getrandbits(k)
+                seen[j if seen[t] else t] = 1
+        yield int(seen[::-1].translate(_BYTE_BITS), 2)
+
+
+def sample_mask(rng: random.Random, universe: int, size: int) -> int:
+    """One Floyd draw: a uniform size-subset of [0, universe) as a bitmask,
+    the first mask of ``_draws``, leaving the rng where the next would
+    start."""
+    return next(_draws(rng, universe, size))
 
 
 def max_induced_degree(members: int, n: int) -> int:
@@ -270,9 +288,10 @@ def _scan_block(
 
 
 def _plan_masks(plan: EnumerationPlan) -> Iterator[int]:
-    """A seeded sample's subsets in scan order."""
-    rng, universe, size = random.Random(plan.strategy.seed), 1 << plan.n, plan.subset_size
-    return (sample_mask(rng, universe, size) for _ in range(plan.total_to_scan))
+    """A seeded sample's subsets in scan order: the first ``count`` masks of
+    one ``_draws`` stream, so Floyd's loop is set up once per plan."""
+    draws = _draws(random.Random(plan.strategy.seed), 1 << plan.n, plan.subset_size)
+    return islice(draws, plan.total_to_scan)
 
 
 @functools.lru_cache(maxsize=64)

@@ -63,10 +63,19 @@ GOLDENS = {
     "exhaustive-n16-size2-random.txt": [
         "exhaustive", "--n", "16", "--size", "2", "--strategy", "random:2000:0", "--format", "text",
     ],
+    # seeded draws whose bit count k grows mid-draw: at j = 63 of a byte-per-vertex
+    # draw, and at j = 4095 of a set draw of exactly 2^n / 64 members
+    "exhaustive-n6-size33-random.txt": [
+        "exhaustive", "--n", "6", "--size", "33", "--strategy", "random:800:5", "--format", "text",
+    ],
+    "exhaustive-n12-size64-random.txt": [
+        "exhaustive", "--n", "12", "--size", "64", "--strategy", "random:300:5", "--format", "text",
+    ],
 }
 # a 2-subset has max degree at most 1, under the bound, so its report
-# counts violations and the CLI exits 2; every other golden exits 0
-EXIT_CODES = {"exhaustive-n16-size2-random.txt": 2}
+# counts violations and the CLI exits 2, as does the sparse n = 12 sample;
+# every other golden exits 0
+EXIT_CODES = {"exhaustive-n16-size2-random.txt": 2, "exhaustive-n12-size64-random.txt": 2}
 
 N5_GOLDEN = GOLDEN_DIR / "exhaustive-n5-size17.json"
 N5_EVERY_SIZE = GOLDEN_DIR / "exhaustive-n5-every-size.txt"

@@ -236,6 +236,27 @@ def test_sample_mask_matches_oracle(n):
             assert rng.getstate() == oracle_rng.getstate()
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_plan_stream_matches_oracle(n):
+    # a plan draws its whole sample from one Floyd loop, which reads each
+    # member's bit count once per run of members: sizes 1 and 2, the largest
+    # kept in a set and the next, half the cube plus one and all of it, and
+    # each size whose first member is 2^k - 2, 2^k - 1 or 2^k, the edges of
+    # the runs. Three draws each, so every draw starts where the last ended
+    universe = 1 << n
+    sparse = universe // exhaustive.SPARSE_RATIO
+    sizes = {1, 2, sparse, sparse + 1, universe // 2 + 1, universe}
+    sizes |= {universe - (1 << k) + d for k in range(n + 1) for d in (2, 1, 0)}
+    for size in sorted(size for size in sizes if 0 < size <= universe):
+        for seed in (0, 5):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            oracle = [oracle_sample_mask(oracle_rng, universe, size) for _ in range(3)]
+            plan = EnumerationPlan(n, size, RandomSample(3, seed))
+            assert random_masks(plan) == oracle, (n, size, seed)
+            assert list(itertools.islice(exhaustive._draws(rng, universe, size), 3)) == oracle
+            assert rng.getstate() == oracle_rng.getstate(), (n, size, seed)
+
+
 def unpacked(n, blocks):
     """The masks of packed ``(packed, count, runs)`` blocks, lane by lane:
     each block's bytes once, sliced per lane."""
@@ -469,14 +490,15 @@ def test_shard_cut_inside_a_high_half(monkeypatch, n, size):
 def test_sample_draws_each_subset_once(monkeypatch, shards):
     # a seeded sample is one stream in this process, whatever the shard
     # count: each of its draws is made once, and none is replayed
-    calls = []
+    calls, draws = [], exhaustive._draws
 
     def counted(rng, universe, size):
-        calls.append(size)
-        return sample_mask(rng, universe, size)
+        for mask in draws(rng, universe, size):
+            calls.append(size)
+            yield mask
 
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(exhaustive, "sample_mask", counted)
+    monkeypatch.setattr(exhaustive, "_draws", counted)
     plan = EnumerationPlan(4, 9, RandomSample(50, 3), parallel_shards=shards)
     assert report_view(4, plan) == oracle_scan(4, plan_masks(plan))
     assert len(calls) == 50
